@@ -129,6 +129,8 @@ def read_wav(data: bytes) -> AudioClip:
                 raise FormatError("'fmt ' chunk: only mono or stereo is supported")
             if bits != 16:
                 raise FormatError("'fmt ' chunk: only 16-bit samples are supported")
+            if rate < 1:
+                raise FormatError("'fmt ' chunk: sample rate must be positive")
             fmt = (channels, rate)
         elif cid == b"data":
             raw = body
@@ -274,9 +276,3 @@ def synth_condition(beat_times, m: int, fps, c_a: int, seed=0) -> AudioCondition
             features[:, c] = np.interp(t, knot_t, vals[:, c - 1])
     return AudioCondition(features, fps, beats)
 
-
-def load_features(path) -> AudioCondition:
-    """Read an AudioCondition from the binary feature file format."""
-    from .formats import read_audio_features
-
-    return read_audio_features(path)

@@ -38,7 +38,6 @@ from .flow import (
     FLOW_RESOLUTION,
     combine_flow,
     deform_grids,
-    occlusion_mask,
     upsample_flow,
     warp_image,
 )
@@ -119,7 +118,7 @@ def cmd_warp(args) -> int:
     )
     write_pnm_file(args.out, warp_image(img, field))
     if args.mask:
-        Path(args.mask).write_bytes(mask_to_pgm(occlusion_mask(field)))
+        Path(args.mask).write_bytes(mask_to_pgm(~field.valid_mask))
     if args.flow_out:
         formats.write_flow(args.flow_out, field)
     print(f"wrote {args.out}")
@@ -175,9 +174,7 @@ def _training_windows(pairs, cfg: PipelineConfig) -> list:
             raise InvalidArgumentError(
                 "feature rows do not match motion frames"
             )
-        offsets = range(0, seq.n_frames - cfg.m + 1, cfg.stride)
-        windows = clip_windows(seq, cfg.m, cfg.stride)
-        for off, win in zip(offsets, windows):
+        for off, win in clip_windows(seq, cfg.m, cfg.stride):
             audio = cond.features[off : off + cfg.m]
             items.append((win, Condition(audio, win.frames[0])))
     if not items:
@@ -206,15 +203,28 @@ def cmd_train(args) -> int:
 
 # -- generate -----------------------------------------------------------
 
-def _render_frames(motion, seed_vec, cfg, src_path, out_dir, seed):
-    src_img = read_pnm_file(src_path)
+def _render_source(path, cfg: PipelineConfig, n_channels: int):
+    """Read the image frames are warped from, and check everything
+    rendering needs before a single frame is sampled."""
+    if cfg.n < 3:
+        raise InvalidArgumentError(
+            f"rendering needs n >= 3: TPS needs at least 3 control pairs, "
+            f"config has n = {cfg.n}"
+        )
+    if cfg.c != n_channels:
+        raise InvalidArgumentError(
+            f"config k*n*2 = {cfg.c} does not match "
+            f"model channels {n_channels}"
+        )
+    img = read_pnm_file(path)
+    if img.height < 2 or img.width < 2:
+        raise InvalidArgumentError("render source must be at least 2x2")
+    return img
+
+
+def _render_frames(motion, seed_vec, cfg, src_img, out_dir, seed):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.k * cfg.n * 2 != motion.n_channels:
-        raise InvalidArgumentError(
-            f"config k*n*2 = {cfg.k * cfg.n * 2} does not match "
-            f"motion channels {motion.n_channels}"
-        )
     seed_pts = unflatten(seed_vec[None, :], cfg.k, cfg.n)[0]
     all_pts = unflatten(motion, cfg.k, cfg.n)
     rows = ["frame,file"]
@@ -250,6 +260,8 @@ def cmd_generate(args) -> int:
             f"features have {cond.n_channels} channels, "
             f"model expects {model.n_audio}"
         )
+    src_img = (_render_source(args.render_src, cfg, model.n_channels)
+               if args.render_src else None)
     if args.frames is not None:
         m_total = args.frames
     elif args.seconds is not None:
@@ -280,7 +292,7 @@ def cmd_generate(args) -> int:
         _write_text(args.scores, rows, seed=cfg.seed)
     if args.render_src:
         _render_frames(
-            motion, seed_vec, cfg, args.render_src, args.render_dir, cfg.seed
+            motion, seed_vec, cfg, src_img, args.render_dir, cfg.seed
         )
     print(f"wrote {motion.n_frames} frames to {args.out}")
     return 0

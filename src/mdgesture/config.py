@@ -30,7 +30,6 @@ class PipelineConfig:
     # long generation
     p: int = 5               # candidates per segment
     gap: int = 2             # junction frames refilled by the spline
-    knots: int = 5           # spline knots per side
     # flow composition
     softness: float = 0.1
     # metrics
@@ -72,7 +71,6 @@ class PipelineConfig:
         need(0.0 <= self.mask_prob <= 1.0, "mask_prob must be in [0, 1]")
         need(self.p >= 1, "p must be >= 1")
         need(self.gap >= 0, "gap must be >= 0")
-        need(self.knots >= 2, "knots must be >= 2")
         need(self.softness > 0, "softness must be > 0")
         need(self.sigma_b > 0, "sigma_b must be > 0")
         need(self.sigma_smooth >= 0, "sigma_smooth must be >= 0")

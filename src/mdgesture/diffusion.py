@@ -26,6 +26,8 @@ from .errors import InvalidArgumentError
 from .motion import DEFAULT_FPS, MotionSequence
 from .rng import generator
 
+PROBE_EVERY = 10  # training steps between probe-loss rows
+
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -130,7 +132,6 @@ class Condition:
 
     audio: np.ndarray        # (M, C_a)
     seed_motion: np.ndarray  # (C,)
-    audio_masked: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.audio, dtype=np.float64)
@@ -146,7 +147,7 @@ class Condition:
 
     def masked(self) -> "Condition":
         """The null condition: audio replaced by zeros."""
-        return Condition(np.zeros_like(self.audio), self.seed_motion, True)
+        return Condition(np.zeros_like(self.audio), self.seed_motion)
 
 
 class Denoiser:
@@ -265,7 +266,7 @@ class MlpDenoiser(Denoiser):
         self.n_audio = int(n_audio)
         self.hidden = int(hidden)
         self.embed = int(embed)
-        self.in_dim = 2 * self.n_channels + self.n_audio + self.embed
+        self.in_dim = self.input_width(self.n_channels, self.n_audio, self.embed)
         g = generator(seed, 0xD1FF)
         lim1 = math.sqrt(6.0 / (self.in_dim + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
@@ -273,6 +274,11 @@ class MlpDenoiser(Denoiser):
         self.b1 = np.zeros(hidden)
         self.w2 = g.uniform(-lim2, lim2, size=(n_channels, hidden))
         self.b2 = np.zeros(n_channels)
+
+    @staticmethod
+    def input_width(n_channels: int, n_audio: int, embed: int) -> int:
+        """Per-frame input size: x_t, audio, seed motion, t embedding."""
+        return 2 * n_channels + n_audio + embed
 
     def _inputs(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
@@ -283,10 +289,10 @@ class MlpDenoiser(Denoiser):
             raise InvalidArgumentError("audio must be (M, C_a)")
         if cond.seed_motion.shape != (self.n_channels,):
             raise InvalidArgumentError("seed motion must be a C-vector")
-        audio = np.zeros_like(cond.audio) if cond.audio_masked else cond.audio
         emb = time_embedding(t, self.embed)
         return np.concatenate(
-            [x_t, audio, np.tile(cond.seed_motion, (m, 1)), np.tile(emb, (m, 1))],
+            [x_t, cond.audio, np.tile(cond.seed_motion, (m, 1)),
+             np.tile(emb, (m, 1))],
             axis=1,
         )
 
@@ -349,14 +355,14 @@ class MlpDenoiser(Denoiser):
             raise InvalidArgumentError("flat vector length mismatch")
 
 
-def train_denoiser(dataset, cfg: PipelineConfig,
-                   probe_every: int = 10):
+def train_denoiser(dataset, cfg: PipelineConfig):
     """Minibatch SGD with momentum on the total loss.
 
     dataset: list of (MotionSequence, Condition) pairs. Each draw picks a
     sequence, a uniform step t, fresh noise, and masks the audio with
     probability cfg.mask_prob. Returns (model, history) where history is
-    [(step, probe loss)] on a fixed probe batch, row 0 before training.
+    [(step, probe loss)] on a fixed probe batch, row 0 before training,
+    then every PROBE_EVERY steps and after the last.
     """
     dataset = list(dataset)
     if not dataset:
@@ -410,6 +416,6 @@ def train_denoiser(dataset, cfg: PipelineConfig,
         for name, p in model.parameters().items():
             vel[name] = momentum * vel[name] - (cfg.lr / cfg.batch) * acc[name]
             p += vel[name]
-        if step % probe_every == 0 or step == cfg.steps:
+        if step % PROBE_EVERY == 0 or step == cfg.steps:
             history.append((step, probe_loss()))
     return model, history

@@ -149,11 +149,6 @@ def warp_image(src: RasterImage, flow: FlowField) -> RasterImage:
     return RasterImage(out)
 
 
-def occlusion_mask(flow: FlowField) -> np.ndarray:
-    """True where the flow cannot source from inside the image."""
-    return ~flow.valid_mask
-
-
 def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
     """Bilinearly resample a flow field onto a new lattice."""
     if height < 2 or width < 2:

@@ -269,13 +269,11 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
     if np.any(meta != np.rint(meta)) or np.any(meta < 1):
         raise FormatError("meta layer must hold positive integers")
     c, c_a, hidden, embed = (int(v) for v in meta[0])
-    try:
-        model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed)
-    except (InvalidArgumentError, ValueError) as e:
-        raise FormatError(f"invalid denoiser meta: {e}") from e
+    # shapes are checked before the model is built, so the file's own
+    # length bounds every allocation the meta row asks for
     w1, b1, w2, b2 = layers[1:]
     expected = {
-        "w1": (hidden, model.in_dim),
+        "w1": (hidden, MlpDenoiser.input_width(c, c_a, embed)),
         "b1": (1, hidden),
         "w2": (c, hidden),
         "b2": (1, c),
@@ -286,6 +284,10 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
             raise FormatError(
                 f"layer {name} is {got[name]}, expected {expected[name]}"
             )
+    try:
+        model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed)
+    except (InvalidArgumentError, ValueError) as e:
+        raise FormatError(f"invalid denoiser meta: {e}") from e
     model.set_flat(
         np.concatenate(
             [w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()]
@@ -342,12 +344,26 @@ def pairs_from_text(text: str):
 
 # -- file helpers -------------------------------------------------------
 
+def _image_info(img) -> str:
+    return f"{img.width}x{img.height}"
+
+
+# leading bytes -> (kind, parser, one-line summary of the parsed object)
 _READERS = {
-    MAGIC_TRANSFORM: ("transform", transform_from_bytes),
-    MAGIC_FLOW: ("flow", flow_from_bytes),
-    MAGIC_SEQUENCE: ("motion", sequence_from_bytes),
-    MAGIC_FEATURES: ("features", audio_features_from_bytes),
-    MAGIC_DENOISER: ("denoiser", denoiser_from_bytes),
+    MAGIC_TRANSFORM: ("transform", transform_from_bytes,
+                      lambda t: f"N={t.n_controls}"),
+    MAGIC_FLOW: ("flow", flow_from_bytes, lambda f: (
+        f"{f.width}x{f.height}, {int(f.valid_mask.sum())} valid")),
+    MAGIC_SEQUENCE: ("motion", sequence_from_bytes, lambda s: (
+        f"M={s.n_frames} C={s.n_channels} fps={s.fps}")),
+    MAGIC_FEATURES: ("features", audio_features_from_bytes, lambda a: (
+        f"M={a.n_frames} C_a={a.n_channels} beats={a.beats.size}")),
+    MAGIC_DENOISER: ("denoiser", denoiser_from_bytes, lambda d: (
+        f"C={d.n_channels} C_a={d.n_audio} hidden={d.hidden} embed={d.embed}")),
+    b"P6": ("ppm", parse_pnm, _image_info),
+    b"P5": ("pgm", parse_pnm, _image_info),
+    b"RIFF": ("wav", read_wav, lambda c: (
+        f"{c.samples.size} samples at {c.sample_rate} Hz")),
 }
 
 
@@ -408,32 +424,7 @@ def verify_file(path) -> tuple[str, str]:
     unrecognized kind.
     """
     data = _read_file(path)
-    if len(data) >= 4 and data[:4] in _READERS:
-        kind, reader = _READERS[data[:4]]
-        obj = reader(data)
-        if kind == "transform":
-            info = f"N={obj.controls_d.shape[0]}"
-        elif kind == "flow":
-            h, w = obj.map.shape[:2]
-            info = f"{w}x{h}, {int(obj.valid_mask.sum())} valid"
-        elif kind == "motion":
-            info = f"M={obj.n_frames} C={obj.n_channels} fps={obj.fps}"
-        elif kind == "features":
-            info = (
-                f"M={obj.n_frames} C_a={obj.n_channels} "
-                f"beats={obj.beats.size}"
-            )
-        else:
-            info = (
-                f"C={obj.n_channels} C_a={obj.n_audio} "
-                f"hidden={obj.hidden} embed={obj.embed}"
-            )
-        return kind, info
-    if data[:2] in (b"P5", b"P6"):
-        image = parse_pnm(data)
-        kind = "ppm" if image.channels == 3 else "pgm"
-        return kind, f"{image.width}x{image.height}"
-    if data[:4] == b"RIFF":
-        clip = read_wav(data)
-        return "wav", f"{clip.samples.size} samples at {clip.sample_rate} Hz"
+    for magic, (kind, parse, info) in _READERS.items():
+        if data.startswith(magic):
+            return kind, info(parse(data))
     raise FormatError("unrecognized artifact")

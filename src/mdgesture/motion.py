@@ -122,18 +122,18 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def clip_windows(seq: MotionSequence, window: int, stride: int) -> list[MotionSequence]:
-    """All fully-contained windows starting at 0, stride, 2*stride, ..."""
+def clip_windows(seq: MotionSequence, window: int,
+                 stride: int) -> list[tuple[int, MotionSequence]]:
+    """(offset, window) for every fully-contained window, offsets 0,
+    stride, 2*stride, ..."""
     window, stride = int(window), int(stride)
     if window < 1 or stride < 1:
         raise InvalidArgumentError("window and stride must be >= 1")
     frames = seq.frames
-    out = []
-    start = 0
-    while start + window <= frames.shape[0]:
-        out.append(MotionSequence(frames[start : start + window].copy(), seq.fps))
-        start += stride
-    return out
+    return [
+        (start, MotionSequence(frames[start : start + window].copy(), seq.fps))
+        for start in range(0, frames.shape[0] - window + 1, stride)
+    ]
 
 
 def _natural_spline_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,6 +414,33 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rig,shape,raster,code",
+        [
+            ("k = 2\nn = 2", (4, 4), True, 2),  # n < 3: TPS needs 3 pairs
+            ("k = 2\nn = 3", (4, 4), True, 2),  # k*n*2 != model channels
+            ("k = 1\nn = 4", (1, 4), True, 2),  # source smaller than 2x2
+            ("k = 1\nn = 4", (4, 4), False, 3),  # source does not parse
+        ],
+        ids=["n_below_3", "channel_mismatch", "tiny_source", "bad_source"],
+    )
+    def test_render_checked_before_sampling(self, pipeline, tmp_path,
+                                            rig, shape, raster, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TOY_CFG.replace("k = 2\nn = 2", rig))
+        src = tmp_path / "src.ppm"
+        img = write_pnm(from_bytes_array(np.zeros(shape + (3,), np.uint8)))
+        src.write_bytes(img if raster else img[:-1])
+        out, frames = tmp_path / "gen.mdsq", tmp_path / "frames"
+        assert cli.main(
+            ["generate", "--config", str(cfg), "--params", str(pipeline.model),
+             "--features", str(pipeline.data / "seq_0000.mdaf"),
+             "--seed-motion", str(pipeline.data / "seq_0000.mdsq"),
+             "--out", str(out), "--frames", "12",
+             "--render-src", str(src), "--render-dir", str(frames)]
+        ) == code
+        assert not out.exists() and not frames.exists()
+
 
 @pytest.fixture(scope="module")
 def rendered(tmp_path_factory):
@@ -628,6 +656,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count(": ok:") == 1
         assert out.count("FAILED") == 1
+
+    def test_huge_meta_is_parse_error(self, pipeline, tmp_path, capsys):
+        # meta row [C, C_a, hidden, embed] starts at byte 16; a hidden width
+        # of 2**50 must be refused by the layer shapes, not allocated
+        data = pipeline.model.read_bytes()
+        bad = tmp_path / "bad.mdnn"
+        bad.write_bytes(data[:24] + struct.pack("<f", 2.0**50) + data[28:])
+        assert cli.main(["verify", str(bad)]) == 3
+        assert "FAILED" in capsys.readouterr().out
 
     def test_missing_path(self, tmp_path, capsys):
         assert cli.main(["verify", str(tmp_path / "ghost.mdsq")]) == 3

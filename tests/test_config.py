@@ -48,6 +48,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1: unknown key 'kk'"):
             parse_config("kk = 3\n")
 
+    def test_knots_is_unknown(self):
+        # spline knots are fixed by longgen.FILL_KNOTS, not configurable
+        with pytest.raises(ConfigError, match="line 1: unknown key 'knots'"):
+            parse_config("knots = 5\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="line 2: duplicate"):
             parse_config("k = 3\nk = 4\n")

@@ -34,10 +34,11 @@ class ConstantDenoiser(Denoiser):
 
 
 class FlagDenoiser(Denoiser):
-    """Returns ones on the conditional branch, zeros on the masked one."""
+    """Returns ones when the condition carries audio, zeros on the null
+    condition (all-zero audio)."""
 
     def predict(self, x_t, t, cond):
-        return np.zeros_like(x_t) if cond.audio_masked else np.ones_like(x_t)
+        return np.ones_like(x_t) if cond.audio.any() else np.zeros_like(x_t)
 
 
 def tiny_condition(m, c, c_a=3, seed=5):

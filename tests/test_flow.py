@@ -7,7 +7,6 @@ from mdgesture.flow import (
     combine_flow,
     deform_grids,
     identity_flow,
-    occlusion_mask,
     upsample_flow,
     warp_image,
 )
@@ -193,17 +192,17 @@ class TestCombine:
 
 class TestMasks:
     def test_identity_all_valid(self):
-        assert not occlusion_mask(identity_flow(6, 6)).any()
+        assert not (~identity_flow(6, 6).valid_mask).any()
 
     def test_half_plane(self):
         m = normalized_lattice(8, 8).copy()
         m[:, :4, 0] = -5.0
-        occ = occlusion_mask(FlowField(m))
+        occ = ~FlowField(m).valid_mask
         assert occ[:, :4].all() and not occ[:, 4:].any()
 
     def test_random_flow_matches_bounds_oracle(self, rng):
         m = rng.uniform(-1.5, 1.5, size=(10, 10, 2))
-        occ = occlusion_mask(FlowField(m))
+        occ = ~FlowField(m).valid_mask
         for r in range(10):
             for c in range(10):
                 inside = (

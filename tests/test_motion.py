@@ -94,13 +94,16 @@ class TestWindows:
         seq = MotionSequence(rng.normal(size=(80, 4)))
         wins = clip_windows(seq, 80, 10)
         assert len(wins) == 1
-        assert np.array_equal(wins[0].frames, seq.frames)
+        off, win = wins[0]
+        assert off == 0
+        assert np.array_equal(win.frames, seq.frames)
 
     def test_strided(self, rng):
         seq = MotionSequence(rng.normal(size=(100, 2)))
         wins = clip_windows(seq, 80, 10)
         assert len(wins) == 3
-        for i, w in enumerate(wins):
+        for i, (off, w) in enumerate(wins):
+            assert off == 10 * i
             assert w.n_frames == 80
             assert np.array_equal(w.frames, seq.frames[10 * i : 10 * i + 80])
 
@@ -110,7 +113,9 @@ class TestWindows:
 
     def test_fps_carried(self, rng):
         seq = MotionSequence(rng.normal(size=(10, 2)), fps=Fraction(30))
-        assert clip_windows(seq, 5, 5)[0].fps == Fraction(30)
+        wins = clip_windows(seq, 5, 5)
+        assert [off for off, _ in wins] == [0, 5]
+        assert wins[0][1].fps == Fraction(30)
 
 
 class TestSplineFill:
