@@ -258,8 +258,7 @@ def synth_condition(beat_times, m: int, fps, c_a: int, seed=0) -> AudioCondition
     if fps <= 0:
         raise InvalidArgumentError("fps must be positive")
     beats = np.asarray(beat_times, dtype=np.float64).reshape(-1)
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    g = generator(*parts, 0xA0D1)
+    g = generator(seed, 0xA0D1)
     impulses = np.zeros(m)
     for t in beats:
         j = int(round(t * float(fps)))

@@ -34,6 +34,7 @@ from .errors import (
     InvalidArgumentError,
     SingularSystemError,
 )
+from .fileio import write_atomic
 from .flow import (
     FLOW_RESOLUTION,
     combine_flow,
@@ -69,7 +70,7 @@ def _load_config(args) -> PipelineConfig:
 
 def _write_text(path, lines, seed=None) -> None:
     head = [f"# seed={int(seed)}"] if seed is not None else []
-    Path(path).write_text("\n".join(head + list(lines)) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(head + list(lines)) + "\n").encode("utf-8"))
 
 
 def _fmt(value) -> str:
@@ -118,7 +119,7 @@ def cmd_warp(args) -> int:
     )
     write_pnm_file(args.out, warp_image(img, field))
     if args.mask:
-        Path(args.mask).write_bytes(mask_to_pgm(~field.valid_mask))
+        write_atomic(args.mask, mask_to_pgm(~field.valid_mask))
     if args.flow_out:
         formats.write_flow(args.flow_out, field)
     print(f"wrote {args.out}")
@@ -222,16 +223,19 @@ def _render_source(path, cfg: PipelineConfig, n_channels: int):
     return img
 
 
-def _render_frames(motion, seed_vec, cfg, src_img, out_dir, seed):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _frame_transforms(motion, seed_vec, cfg) -> list:
+    """Every frame's k transforms, solved before any artifact is written."""
     seed_pts = unflatten(seed_vec[None, :], cfg.k, cfg.n)[0]
     all_pts = unflatten(motion, cfg.k, cfg.n)
+    return [[solve_tps(seed_pts[k], pts[k]) for k in range(cfg.k)]
+            for pts in all_pts]
+
+
+def _render_frames(frame_transforms, cfg, src_img, out_dir, seed):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["frame,file"]
-    for i in range(motion.n_frames):
-        transforms = [
-            solve_tps(seed_pts[k], all_pts[i, k]) for k in range(cfg.k)
-        ]
+    for i, transforms in enumerate(frame_transforms):
         field = _compose_flow(
             transforms, src_img.height, src_img.width, cfg.softness, True
         )
@@ -281,6 +285,8 @@ def cmd_generate(args) -> int:
         seed=cfg.seed,
         gamma=cfg.gamma,
     )
+    frame_transforms = (_frame_transforms(motion, seed_vec, cfg)
+                        if args.render_src else None)
     formats.write_sequence(args.out, motion)
     if args.scores:
         rows = ["segment,candidate,position,angle,total,selected"]
@@ -291,9 +297,7 @@ def cmd_generate(args) -> int:
             )
         _write_text(args.scores, rows, seed=cfg.seed)
     if args.render_src:
-        _render_frames(
-            motion, seed_vec, cfg, src_img, args.render_dir, cfg.seed
-        )
+        _render_frames(frame_transforms, cfg, src_img, args.render_dir, cfg.seed)
     print(f"wrote {motion.n_frames} frames to {args.out}")
     return 0
 

@@ -181,8 +181,7 @@ def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
         raise InvalidArgumentError("m and c must be >= 1")
     if cond.audio.shape[0] != m:
         raise InvalidArgumentError("audio rows must align with frames")
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    g = generator(*parts)
+    g = generator(seed)
     x = g.standard_normal((m, c))
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
@@ -266,19 +265,26 @@ class MlpDenoiser(Denoiser):
         self.n_audio = int(n_audio)
         self.hidden = int(hidden)
         self.embed = int(embed)
-        self.in_dim = self.input_width(self.n_channels, self.n_audio, self.embed)
+        self._shapes = self.param_shapes(
+            self.n_channels, self.n_audio, self.hidden, self.embed)
+        self._flat = np.zeros(sum(math.prod(s) for s in self._shapes.values()))
+        vars(self).update(_views(self._flat, self._shapes))  # w1, b1, w2, b2
         g = generator(seed, 0xD1FF)
-        lim1 = math.sqrt(6.0 / (self.in_dim + hidden))
+        lim1 = math.sqrt(6.0 / (self.w1.shape[1] + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
-        self.w1 = g.uniform(-lim1, lim1, size=(hidden, self.in_dim))
-        self.b1 = np.zeros(hidden)
-        self.w2 = g.uniform(-lim2, lim2, size=(n_channels, hidden))
-        self.b2 = np.zeros(n_channels)
+        self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
+        self.w2[...] = g.uniform(-lim2, lim2, size=self.w2.shape)
 
     @staticmethod
     def input_width(n_channels: int, n_audio: int, embed: int) -> int:
         """Per-frame input size: x_t, audio, seed motion, t embedding."""
         return 2 * n_channels + n_audio + embed
+
+    @classmethod
+    def param_shapes(cls, c: int, c_a: int, hidden: int, embed: int) -> dict:
+        """Each parameter's shape, in PARAM_NAMES (= flat vector) order."""
+        w1 = (hidden, cls.input_width(c, c_a, embed))
+        return dict(zip(cls.PARAM_NAMES, [w1, (hidden,), (c, hidden), (c,)]))
 
     def _inputs(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
@@ -311,17 +317,15 @@ class MlpDenoiser(Denoiser):
         z = self._inputs(x_t, t, cond)
         y, h = self._forward(z)
         m = x0.shape[0]
-        loss = loss_simple(x0, y)
+        loss = total_loss(x0, y, lambda_vel, lambda_acc)
         g = (2.0 / y.size) * (y - x0)
-        if lambda_vel and m >= 2:
-            loss += lambda_vel * loss_vel(x0, y)
+        if lambda_vel:
             ev = np.diff(y, axis=0) - np.diff(x0, axis=0)
             gv = np.zeros_like(y)
             gv[:-1] -= ev
             gv[1:] += ev
             g += (lambda_vel * 2.0 / (m - 1)) * gv
-        if lambda_acc and m >= 3:
-            loss += lambda_acc * loss_acc(x0, y)
+        if lambda_acc:
             ea = np.diff(y, n=2, axis=0) - np.diff(x0, n=2, axis=0)
             ga = np.zeros_like(y)
             ga[:-2] += ea
@@ -342,17 +346,20 @@ class MlpDenoiser(Denoiser):
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in self.PARAM_NAMES])
+        return self._flat.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
-        pos = 0
-        for name in self.PARAM_NAMES:
-            arr = getattr(self, name)
-            arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        if pos != vec.size:
+        if vec.shape != self._flat.shape:
             raise InvalidArgumentError("flat vector length mismatch")
+        self._flat[...] = vec
+
+
+def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Named views into consecutive slices of flat, one per shape."""
+    ends = np.cumsum([math.prod(s) for s in shapes.values()])
+    parts = np.split(flat, ends[:-1])
+    return {name: p.reshape(s) for (name, s), p in zip(shapes.items(), parts)}
 
 
 def train_denoiser(dataset, cfg: PipelineConfig):
@@ -396,11 +403,13 @@ def train_denoiser(dataset, cfg: PipelineConfig):
         return tot / len(probe)
 
     history = [(0, probe_loss())]
-    vel = {name: np.zeros_like(p) for name, p in model.parameters().items()}
+    vel = np.zeros_like(model._flat)
+    acc = np.zeros_like(vel)
+    acc_views = _views(acc, model._shapes)
     momentum = 0.9
     for step in range(1, cfg.steps + 1):
         idx = g.integers(0, len(dataset), size=cfg.batch)
-        acc = {name: np.zeros_like(p) for name, p in model.parameters().items()}
+        acc.fill(0.0)
         for i in idx:
             t = int(g.integers(1, sched.n_steps + 1))
             noise = g.standard_normal(seqs[i].shape)
@@ -411,11 +420,10 @@ def train_denoiser(dataset, cfg: PipelineConfig):
             _, grads = model.loss_gradients(
                 seqs[i], x_t, t, cond, cfg.lambda_vel, cfg.lambda_acc
             )
-            for name in acc:
-                acc[name] += grads[name]
-        for name, p in model.parameters().items():
-            vel[name] = momentum * vel[name] - (cfg.lr / cfg.batch) * acc[name]
-            p += vel[name]
+            for name, view in acc_views.items():
+                view += grads[name]
+        vel = momentum * vel - (cfg.lr / cfg.batch) * acc
+        model._flat += vel
         if step % PROBE_EVERY == 0 or step == cfg.steps:
             history.append((step, probe_loss()))
     return model, history

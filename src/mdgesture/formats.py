@@ -26,6 +26,7 @@ import numpy as np
 from .audio import AudioCondition, read_wav
 from .diffusion import MlpDenoiser
 from .errors import FormatError, InvalidArgumentError
+from .fileio import write_atomic
 from .flow import FlowField
 from .motion import MotionSequence
 from .ppm import parse_pnm
@@ -58,17 +59,12 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f32_array(self, count: int, what: str) -> np.ndarray:
-        arr = np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
+    def floats(self, count: int, what: str, dtype: str = "<f4") -> np.ndarray:
+        # checked before the cast: casting a signalling NaN warns
+        arr = np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype=dtype)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"non-finite values in {what}")
-        return arr
-
-    def f64_array(self, count: int, what: str) -> np.ndarray:
-        arr = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"non-finite values in {what}")
-        return arr
+        return arr.astype(np.float64)
 
     def expect_magic(self, magic: bytes):
         if self.take(4) != magic:
@@ -115,9 +111,9 @@ def transform_from_bytes(data: bytes) -> TpsTransform:
     n = cur.u32()
     if n < 1:
         raise FormatError("transform must have at least one control point")
-    affine = cur.f32_array(6, "affine").reshape(2, 3)
-    weights = cur.f32_array(2 * n, "weights").reshape(n, 2)
-    controls = cur.f32_array(2 * n, "controls").reshape(n, 2)
+    affine = cur.floats(6, "affine").reshape(2, 3)
+    weights = cur.floats(2 * n, "weights").reshape(n, 2)
+    controls = cur.floats(2 * n, "controls").reshape(n, 2)
     cur.done()
     try:
         return TpsTransform(affine, weights, controls)
@@ -145,7 +141,7 @@ def flow_from_bytes(data: bytes) -> FlowField:
     h, w = cur.u32(), cur.u32()
     if h < 1 or w < 1:
         raise FormatError("flow dimensions must be positive")
-    fmap = cur.f32_array(h * w * 2, "flow map").reshape(h, w, 2)
+    fmap = cur.floats(h * w * 2, "flow map").reshape(h, w, 2)
     mask_bytes = np.frombuffer(cur.take(h * w), dtype=np.uint8)
     cur.done()
     if not np.all((mask_bytes == 0) | (mask_bytes == 1)):
@@ -184,7 +180,7 @@ def sequence_from_bytes(data: bytes) -> MotionSequence:
         raise FormatError("motion dimensions must be positive")
     if num < 1 or den < 1:
         raise FormatError("fps fields must be positive")
-    frames = cur.f32_array(m * c, "frames").reshape(m, c)
+    frames = cur.floats(m * c, "frames").reshape(m, c)
     cur.done()
     try:
         return MotionSequence(frames, Fraction(num, den))
@@ -224,8 +220,8 @@ def audio_features_from_bytes(data: bytes) -> AudioCondition:
         raise FormatError("feature dimensions must be positive")
     if num < 1 or den < 1:
         raise FormatError("fps fields must be positive")
-    beats = cur.f64_array(n_beats, "beats")
-    features = cur.f32_array(m * c_a, "features").reshape(m, c_a)
+    beats = cur.floats(n_beats, "beats", "<f8")
+    features = cur.floats(m * c_a, "features").reshape(m, c_a)
     cur.done()
     try:
         return AudioCondition(features, Fraction(num, den), beats)
@@ -240,8 +236,8 @@ def denoiser_to_bytes(model: MlpDenoiser) -> bytes:
         [[model.n_channels, model.n_audio, model.hidden, model.embed]],
         dtype=np.float64,
     )
-    layers = [meta, model.w1, model.b1.reshape(1, -1), model.w2,
-              model.b2.reshape(1, -1)]
+    # biases travel as 1-row layers
+    layers = [meta, *map(np.atleast_2d, model.parameters().values())]
     out = [MAGIC_DENOISER, _u32(len(layers))]
     for layer in layers:
         out.append(_u32(layer.shape[0]))
@@ -261,7 +257,7 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
         rows, cols = cur.u32(), cur.u32()
         if rows < 1 or cols < 1:
             raise FormatError("layer dimensions must be positive")
-        layers.append(cur.f32_array(rows * cols, f"layer {i}").reshape(rows, cols))
+        layers.append(cur.floats(rows * cols, f"layer {i}").reshape(rows, cols))
     cur.done()
     meta = layers[0]
     if meta.shape != (1, 4):
@@ -271,28 +267,16 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
     c, c_a, hidden, embed = (int(v) for v in meta[0])
     # shapes are checked before the model is built, so the file's own
     # length bounds every allocation the meta row asks for
-    w1, b1, w2, b2 = layers[1:]
-    expected = {
-        "w1": (hidden, MlpDenoiser.input_width(c, c_a, embed)),
-        "b1": (1, hidden),
-        "w2": (c, hidden),
-        "b2": (1, c),
-    }
-    got = {"w1": w1.shape, "b1": b1.shape, "w2": w2.shape, "b2": b2.shape}
-    for name in expected:
-        if got[name] != expected[name]:
-            raise FormatError(
-                f"layer {name} is {got[name]}, expected {expected[name]}"
-            )
+    shapes = MlpDenoiser.param_shapes(c, c_a, hidden, embed)
+    for (name, shape), layer in zip(shapes.items(), layers[1:]):
+        expected = shape if len(shape) == 2 else (1, *shape)
+        if layer.shape != expected:
+            raise FormatError(f"layer {name} is {layer.shape}, expected {expected}")
     try:
         model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed)
     except (InvalidArgumentError, ValueError) as e:
         raise FormatError(f"invalid denoiser meta: {e}") from e
-    model.set_flat(
-        np.concatenate(
-            [w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()]
-        )
-    )
+    model.set_flat(np.concatenate([layer.ravel() for layer in layers[1:]]))
     return model
 
 
@@ -372,7 +356,7 @@ def read_transform(path) -> TpsTransform:
 
 
 def write_transform(path, t: TpsTransform):
-    _write_file(path, transform_to_bytes(t))
+    write_atomic(path, transform_to_bytes(t))
 
 
 def read_flow(path) -> FlowField:
@@ -380,7 +364,7 @@ def read_flow(path) -> FlowField:
 
 
 def write_flow(path, field: FlowField):
-    _write_file(path, flow_to_bytes(field))
+    write_atomic(path, flow_to_bytes(field))
 
 
 def read_sequence(path) -> MotionSequence:
@@ -388,7 +372,7 @@ def read_sequence(path) -> MotionSequence:
 
 
 def write_sequence(path, seq: MotionSequence):
-    _write_file(path, sequence_to_bytes(seq))
+    write_atomic(path, sequence_to_bytes(seq))
 
 
 def read_audio_features(path) -> AudioCondition:
@@ -396,7 +380,7 @@ def read_audio_features(path) -> AudioCondition:
 
 
 def write_audio_features(path, cond: AudioCondition):
-    _write_file(path, audio_features_to_bytes(cond))
+    write_atomic(path, audio_features_to_bytes(cond))
 
 
 def read_denoiser(path) -> MlpDenoiser:
@@ -404,17 +388,12 @@ def read_denoiser(path) -> MlpDenoiser:
 
 
 def write_denoiser(path, model: MlpDenoiser):
-    _write_file(path, denoiser_to_bytes(model))
+    write_atomic(path, denoiser_to_bytes(model))
 
 
 def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _write_file(path, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def verify_file(path) -> tuple[str, str]:

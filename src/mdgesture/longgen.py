@@ -125,13 +125,14 @@ def generate_long(
 ):
     """Sample m_total frames as stitched segments of segment_len frames.
 
-    The first segment is conditioned on seed_motion and drawn with the
-    root seed, so a single-segment call reproduces a plain sample() run
-    bit for bit. Later segments are conditioned on the previous segment's
-    last frame; each is drawn `candidates` times with seeds derived as
-    (seed, segment, candidate) and the best-scoring draw is kept. With
-    gap > 0 every junction's `gap` frames are replaced by a spline fit
-    through 5 knot frames on each side; gap = 0 concatenates as-is.
+    One loop draws ceil(m_total / segment_len) segments. Segment 0 is one
+    draw on the root seed, conditioned on seed_motion, so a single-segment
+    call reproduces a plain sample() run bit for bit; a shorter request
+    trims it. Each later segment is conditioned on the previous one's last
+    frame, drawn `candidates` times with seeds (seed, segment, candidate),
+    and select_best keeps the best continuation. With gap > 0 every
+    junction's `gap` frames are replaced by a spline fit through 5 knot
+    frames on each side; gap = 0 concatenates as-is.
 
     Returns (motion, report) where report rows are
     (segment, candidate, CandidateScore, selected).
@@ -146,8 +147,8 @@ def generate_long(
     gap = int(gap)
     if m < 1:
         raise InvalidArgumentError("segment length must be >= 1")
-    if m_total < m:
-        raise InvalidArgumentError("total length must cover at least one segment")
+    if m_total < 1:
+        raise InvalidArgumentError("total length must be >= 1 frame")
     if n_cand < 1:
         raise InvalidArgumentError("need at least one candidate per segment")
     if gap < 0:
@@ -167,38 +168,17 @@ def generate_long(
         feats = np.vstack([feats, pad])
 
     fps = cond_full.fps
-    segments = [
-        sample(
-            denoiser,
-            Condition(feats[:m], seed_vec),
-            schedule,
-            m,
-            c,
-            seed=seed,
-            gamma=gamma,
-            fps=fps,
-        )
-    ]
-    report = []
-    for i in range(1, n_seg):
-        prev = segments[-1]
-        cond_i = Condition(feats[i * m : (i + 1) * m], prev.frames[-1])
-        draws = [
-            sample(
-                denoiser,
-                cond_i,
-                schedule,
-                m,
-                c,
-                seed=(seed, i, p),
-                gamma=gamma,
-                fps=fps,
-            )
-            for p in range(n_cand)
-        ]
-        best, scores = select_best(prev, draws)
+    segments, report = [], []
+    start, seeds = seed_vec, [seed]
+    for i in range(n_seg):
+        cond_i = Condition(feats[i * m : (i + 1) * m], start)
+        draws = [sample(denoiser, cond_i, schedule, m, c, seed=draw_seed,
+                        gamma=gamma, fps=fps) for draw_seed in seeds]
+        best, scores = select_best(segments[-1], draws) if segments else (0, [])
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
         segments.append(draws[best])
+        start = draws[best].frames[-1]
+        seeds = [(seed, i + 1, p) for p in range(n_cand)]
 
     full = np.vstack([s.frames for s in segments])
     if gap > 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
+from .fileio import write_atomic
 
 
 @dataclass(frozen=True)
@@ -124,5 +125,4 @@ def read_pnm_file(path) -> RasterImage:
 
 
 def write_pnm_file(path, img: RasterImage) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_pnm(img))
+    write_atomic(path, write_pnm(img))

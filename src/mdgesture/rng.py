@@ -11,14 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def generator(*seed_parts: int) -> np.random.Generator:
+def generator(*seed_parts) -> np.random.Generator:
     """Build a Generator from one or more integer seed components.
 
     The same tuple always yields the same stream. Multi-part seeds are how
     derived streams (per segment, per candidate) stay collision-free
-    without coordination.
+    without coordination. Tuple components are flattened, so a caller's
+    seed may be an int or a tuple: generator((1, 2), 3) is generator(1, 2, 3).
     """
-    if not seed_parts:
+    parts = [int(q) for p in seed_parts
+             for q in (p if isinstance(p, tuple) else (p,))]
+    if not parts:
         raise ValueError("at least one seed component is required")
-    seq = np.random.SeedSequence([int(p) for p in seed_parts])
+    seq = np.random.SeedSequence(parts)
     return np.random.Generator(np.random.Philox(seq))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mdgesture import cli, formats
-from mdgesture.audio import AudioClip, write_wav
+from mdgesture.audio import AudioClip, AudioCondition, write_wav
+from mdgesture.diffusion import MlpDenoiser
 from mdgesture.motion import MotionSequence
 from mdgesture.ppm import from_bytes_array, parse_pnm, write_pnm
 from mdgesture.tps import TpsTransform, identity_transform
@@ -380,8 +381,14 @@ class TestGenerate:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_too_few_frames(self, pipeline, tmp_path):
-        code, _, _ = self.generate(pipeline, tmp_path, ["--frames", "5"])
+        code, _, _ = self.generate(pipeline, tmp_path, ["--frames", "0"])
         assert code == 2
+
+    def test_frames_below_segment_trim_one_segment(self, pipeline, tmp_path):
+        code, out, scores = self.generate(pipeline, tmp_path, ["--frames", "5"])
+        assert code == 0
+        assert formats.read_sequence(out).n_frames == 5
+        assert data_lines(scores) == ["segment,candidate,position,angle,total,selected"]
 
     def test_seed_motion_channel_mismatch(self, pipeline, tmp_path):
         bad = tmp_path / "bad.mdsq"
@@ -440,6 +447,33 @@ class TestGenerate:
              "--render-src", str(src), "--render-dir", str(frames)]
         ) == code
         assert not out.exists() and not frames.exists()
+
+    def test_singular_frame_writes_nothing(self, tmp_path):
+        # zero weights: every step predicts b2, so every frame equals b2,
+        # whose first two keypoints coincide and make the TPS singular
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RENDER_CFG)
+        model = MlpDenoiser(8, 2, hidden=4, embed=4)
+        model.set_flat(np.zeros_like(model.get_flat()))
+        model.b2[...] = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5]
+        formats.write_denoiser(tmp_path / "model.mdnn", model)
+        formats.write_audio_features(
+            tmp_path / "f.mdaf", AudioCondition(np.zeros((6, 2)), 25)
+        )
+        seed = [[-0.5, -0.5, 0.5, -0.5, 0.5, 0.5, -0.5, 0.5]]
+        formats.write_sequence(tmp_path / "s.mdsq", MotionSequence(np.array(seed)))
+        src = tmp_path / "src.ppm"
+        src.write_bytes(write_pnm(from_bytes_array(np.zeros((4, 4, 3), np.uint8))))
+        out, scores, frames = (tmp_path / n for n in ("gen.mdsq", "s.csv", "frames"))
+        assert cli.main(
+            ["generate", "--config", str(cfg),
+             "--params", str(tmp_path / "model.mdnn"),
+             "--features", str(tmp_path / "f.mdaf"),
+             "--seed-motion", str(tmp_path / "s.mdsq"),
+             "--out", str(out), "--scores", str(scores),
+             "--render-src", str(src), "--render-dir", str(frames)]
+        ) == 4
+        assert not out.exists() and not scores.exists() and not frames.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,13 @@
+import os
+import stat
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from mdgesture import cli, fileio
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.diffusion import MlpDenoiser
 from mdgesture.errors import FormatError, InvalidArgumentError
@@ -25,6 +30,7 @@ from mdgesture.formats import (
     write_sequence,
 )
 from mdgesture.motion import MotionSequence
+from mdgesture.ppm import RasterImage, write_pnm_file
 from mdgesture.tps import solve_tps
 
 
@@ -197,6 +203,13 @@ class TestMutants:
         with pytest.raises(FormatError, match="fps"):
             sequence_from_bytes(u32_set(sequence_bytes, 16, 0))
 
+    def test_signalling_nan_is_clean_error(self, sequence_bytes):
+        data = u32_set(sequence_bytes, FLOAT_OFFSETS["sequence"], 0x7F800001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite"):
+                sequence_from_bytes(data)
+
     def test_features_mutants(self, features_bytes):
         # beats are f64, so the NaN lands in the first beat instead
         nan64 = struct.pack("<d", float("nan"))
@@ -299,3 +312,49 @@ class TestVerifyFile:
         path.write_bytes(sequence_bytes[:-2])
         with pytest.raises(FormatError):
             verify_file(path)
+
+
+class TestAtomicWrite:
+    WRITERS = {
+        "sequence": lambda path, v: write_sequence(
+            path, MotionSequence(np.full((2, 2), v))),
+        "pnm": lambda path, v: write_pnm_file(
+            path, RasterImage(np.full((2, 2), v))),
+        "text": lambda path, v: cli._write_text(path, [str(v)]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        write = self.WRITERS[kind]
+        path = tmp_path / "artifact"
+        write(path, 0.0)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(fileio.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write(path, 1.0)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "artifact"
+        fileio.write_atomic(path, b"old contents")
+        fileio.write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        # replacing a FIFO (or /dev/null) with a regular file would change it
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        fileio.write_atomic(fifo, b"frames")
+        reader.join(timeout=10)
+        assert got == [b"frames"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)

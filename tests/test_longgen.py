@@ -164,6 +164,24 @@ class TestGenerateLong:
         assert np.array_equal(out.frames, direct.frames)
         assert report == []
 
+    def test_short_request_trims_one_segment(self):
+        m, c = 12, 4
+        model, cond, seed_motion, sched = toy_setup(m, c)
+        out, report = generate_long(
+            model, cond, seed_motion, 6, sched, segment_len=m, seed=5
+        )
+        direct = sample(
+            model,
+            Condition(cond.features[:m], seed_motion),
+            sched,
+            m,
+            c,
+            seed=5,
+            fps=cond.fps,
+        )
+        assert np.array_equal(out.frames, direct.frames[:6])
+        assert report == []
+
     def test_deterministic(self):
         m, c = 12, 4
         model, cond, seed_motion, sched = toy_setup(m, c, m_total=30)
@@ -283,7 +301,7 @@ class TestGenerateLong:
     def test_bad_arguments(self):
         model, cond, seed_motion, sched = toy_setup(12, 4)
         with pytest.raises(InvalidArgumentError):
-            generate_long(model, cond, seed_motion, 6, sched, segment_len=12)
+            generate_long(model, cond, seed_motion, 0, sched, segment_len=12)
         with pytest.raises(InvalidArgumentError):
             generate_long(
                 model, cond, seed_motion, 12, sched, segment_len=12, candidates=0
