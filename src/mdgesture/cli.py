@@ -34,7 +34,7 @@ from .errors import (
     InvalidArgumentError,
     SingularSystemError,
 )
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .flow import (
     FLOW_RESOLUTION,
     combine_flow,
@@ -80,7 +80,7 @@ def _fmt(value) -> str:
 # -- tps-solve ----------------------------------------------------------
 
 def cmd_tps_solve(args) -> int:
-    src, dst = formats.pairs_from_text(Path(args.pairs).read_text(encoding="utf-8"))
+    src, dst = formats.pairs_from_text(read_text(args.pairs))
     t = solve_tps(src, dst, regularization=args.regularization)
     formats.write_transform(args.out, t)
     mapped = np.array([eval_tps(t, p) for p in dst])
@@ -269,9 +269,14 @@ def cmd_generate(args) -> int:
     if args.frames is not None:
         m_total = args.frames
     elif args.seconds is not None:
-        m_total = int(round(args.seconds * cfg.fps))
+        if not math.isfinite(args.seconds):
+            raise InvalidArgumentError(f"--seconds must be finite, got {args.seconds}")
+        m_total = round(args.seconds * cfg.fps)
     else:
         m_total = cond.n_frames
+    if m_total > formats.MAX_U32:
+        raise InvalidArgumentError(
+            f"{m_total} frames do not fit a motion file's u32 frame count")
     sched = make_schedule(cfg.t_steps, cfg.schedule)
     motion, report = generate_long(
         model,
@@ -389,7 +394,7 @@ def _lag_stack(envelope: np.ndarray, channels: int) -> np.ndarray:
     """Feature matrix whose channel j is the envelope delayed j frames."""
     m = envelope.shape[0]
     out = np.zeros((m, channels))
-    for j in range(channels):
+    for j in range(min(channels, m)):  # a lag of m or more frames stays zero
         out[j:, j] = envelope[: m - j]
     return out
 

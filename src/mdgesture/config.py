@@ -7,9 +7,11 @@ default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .fileio import read_text
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,9 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(msg)
 
+        for name, value in vars(self).items():
+            need(not isinstance(value, float) or math.isfinite(value),
+                 f"{name} must be finite")
         need(self.k >= 1 and self.n >= 1, "k and n must be >= 1")
         need(self.m >= 1, "m must be >= 1")
         need(self.stride >= 1, "stride must be >= 1")
@@ -124,5 +129,4 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def read_config_file(path) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,8 +146,9 @@ class Condition:
         object.__setattr__(self, "audio", a)
         object.__setattr__(self, "seed_motion", s)
 
+    @cached_property
     def masked(self) -> "Condition":
-        """The null condition: audio replaced by zeros."""
+        """The null condition, audio replaced by zeros; built once."""
         return Condition(np.zeros_like(self.audio), self.seed_motion)
 
 
@@ -166,9 +168,8 @@ def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
     algebra, half the work)."""
     if gamma == 1.0:
         return d.predict(x_t, t, cond)
-    cond_null = cond.masked()
     return gamma * d.predict(x_t, t, cond) + (1.0 - gamma) * d.predict(
-        x_t, t, cond_null
+        x_t, t, cond.masked
     )
 
 
@@ -312,12 +313,16 @@ class MlpDenoiser(Denoiser):
 
     def loss_gradients(self, x0, x_t, t: int, cond: Condition,
                        lambda_vel: float = 1.0, lambda_acc: float = 1.0):
-        """Total loss and its analytic parameter gradients."""
+        """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
+        by PARAM_NAMES. Returns the grads alone: the loss is not computed."""
         x0 = np.asarray(x0, dtype=np.float64)
         z = self._inputs(x_t, t, cond)
         y, h = self._forward(z)
         m = x0.shape[0]
-        loss = total_loss(x0, y, lambda_vel, lambda_acc)
+        if x0.shape != y.shape:
+            raise InvalidArgumentError("x0 must match x_t's (M, C)")
+        if (lambda_vel and m < 2) or (lambda_acc and m < 3):
+            raise InvalidArgumentError("vel loss needs M >= 2, acc loss M >= 3")
         g = (2.0 / y.size) * (y - x0)
         if lambda_vel:
             ev = np.diff(y, axis=0) - np.diff(x0, axis=0)
@@ -340,7 +345,7 @@ class MlpDenoiser(Denoiser):
             "w1": dpre.T @ z,
             "b1": dpre.sum(axis=0),
         }
-        return loss, grads
+        return grads
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
@@ -416,8 +421,8 @@ def train_denoiser(dataset, cfg: PipelineConfig):
             x_t = q_sample(seqs[i], t, noise, sched)
             cond = conds[i]
             if g.random() < cfg.mask_prob:
-                cond = cond.masked()
-            _, grads = model.loss_gradients(
+                cond = cond.masked
+            grads = model.loss_gradients(
                 seqs[i], x_t, t, cond, cfg.lambda_vel, cfg.lambda_acc
             )
             for name, view in acc_views.items():

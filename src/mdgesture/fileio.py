@@ -1,9 +1,19 @@
-"""Atomic file writes: a failed write never leaves a truncated artifact."""
+"""Atomic file writes, and UTF-8 text reads that fail as parse errors."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import FormatError
+
+
+def read_text(path) -> str:
+    """A UTF-8 file's text; bytes that do not decode are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def write_atomic(path, data: bytes) -> None:

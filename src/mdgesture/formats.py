@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +40,7 @@ MAGIC_FEATURES = b"MDAF"
 MAGIC_DENOISER = b"MDNN"
 
 PAIRS_HEADER = "src_x,src_y,dst_x,dst_y"
+MAX_U32 = 2**32 - 1  # the largest count a header field holds
 
 
 class _Cursor:
@@ -87,9 +89,30 @@ def _u32(value: int) -> bytes:
     return struct.pack("<I", value)
 
 
-def _fraction_fields(fps) -> tuple[int, int]:
+def _as_format_error(what: str, make, *args):
+    """make(*args), where a value the type rejects in an otherwise
+    well-formed container is a FormatError."""
+    try:
+        return make(*args)
+    except ValueError as e:  # InvalidArgumentError included
+        raise FormatError(f"invalid {what}: {e}") from e
+
+
+def _frames_header(magic: bytes, frames, fps) -> bytes:
+    """MDSQ/MDAF lead: magic, u32 M, u32 C, u32 fps_num, u32 fps_den."""
     fps = Fraction(fps)
-    return fps.numerator, fps.denominator
+    return magic + struct.pack("<4I", *frames.shape, fps.numerator, fps.denominator)
+
+
+def _read_frames_header(cur: _Cursor, magic: bytes, what: str):
+    """Read and check a _frames_header: returns (M, C, fps)."""
+    cur.expect_magic(magic)
+    m, c, num, den = struct.unpack("<4I", cur.take(16))
+    if m < 1 or c < 1:
+        raise FormatError(f"{what} dimensions must be positive")
+    if num < 1 or den < 1:
+        raise FormatError("fps fields must be positive")
+    return m, c, Fraction(num, den)
 
 
 # -- MDTP ---------------------------------------------------------------
@@ -115,10 +138,7 @@ def transform_from_bytes(data: bytes) -> TpsTransform:
     weights = cur.floats(2 * n, "weights").reshape(n, 2)
     controls = cur.floats(2 * n, "controls").reshape(n, 2)
     cur.done()
-    try:
-        return TpsTransform(affine, weights, controls)
-    except InvalidArgumentError as e:
-        raise FormatError(f"invalid transform: {e}") from e
+    return _as_format_error("transform", TpsTransform, affine, weights, controls)
 
 
 # -- MDFL ---------------------------------------------------------------
@@ -146,10 +166,7 @@ def flow_from_bytes(data: bytes) -> FlowField:
     cur.done()
     if not np.all((mask_bytes == 0) | (mask_bytes == 1)):
         raise FormatError("mask bytes must be 0 or 1")
-    try:
-        field = FlowField(fmap)
-    except InvalidArgumentError as e:
-        raise FormatError(f"invalid flow: {e}") from e
+    field = _as_format_error("flow", FlowField, fmap)
     if not np.array_equal(
         field.valid_mask, mask_bytes.reshape(h, w).astype(bool)
     ):
@@ -160,46 +177,24 @@ def flow_from_bytes(data: bytes) -> FlowField:
 # -- MDSQ ---------------------------------------------------------------
 
 def sequence_to_bytes(seq: MotionSequence) -> bytes:
-    num, den = _fraction_fields(seq.fps)
-    m, c = seq.frames.shape
-    return (
-        MAGIC_SEQUENCE
-        + _u32(m)
-        + _u32(c)
-        + _u32(num)
-        + _u32(den)
-        + _f32_bytes(seq.frames, "frames")
-    )
+    return (_frames_header(MAGIC_SEQUENCE, seq.frames, seq.fps)
+            + _f32_bytes(seq.frames, "frames"))
 
 
 def sequence_from_bytes(data: bytes) -> MotionSequence:
     cur = _Cursor(data, "motion file")
-    cur.expect_magic(MAGIC_SEQUENCE)
-    m, c, num, den = cur.u32(), cur.u32(), cur.u32(), cur.u32()
-    if m < 1 or c < 1:
-        raise FormatError("motion dimensions must be positive")
-    if num < 1 or den < 1:
-        raise FormatError("fps fields must be positive")
+    m, c, fps = _read_frames_header(cur, MAGIC_SEQUENCE, "motion")
     frames = cur.floats(m * c, "frames").reshape(m, c)
     cur.done()
-    try:
-        return MotionSequence(frames, Fraction(num, den))
-    except InvalidArgumentError as e:
-        raise FormatError(f"invalid motion: {e}") from e
+    return _as_format_error("motion", MotionSequence, frames, fps)
 
 
 # -- MDAF ---------------------------------------------------------------
 
 def audio_features_to_bytes(cond: AudioCondition) -> bytes:
-    num, den = _fraction_fields(cond.fps)
-    m, c_a = cond.features.shape
     beats = np.ascontiguousarray(cond.beats, dtype="<f8")
     return (
-        MAGIC_FEATURES
-        + _u32(m)
-        + _u32(c_a)
-        + _u32(num)
-        + _u32(den)
+        _frames_header(MAGIC_FEATURES, cond.features, cond.fps)
         + _u32(beats.size)
         + beats.tobytes()
         + _f32_bytes(cond.features, "features")
@@ -208,25 +203,11 @@ def audio_features_to_bytes(cond: AudioCondition) -> bytes:
 
 def audio_features_from_bytes(data: bytes) -> AudioCondition:
     cur = _Cursor(data, "feature file")
-    cur.expect_magic(MAGIC_FEATURES)
-    m, c_a, num, den, n_beats = (
-        cur.u32(),
-        cur.u32(),
-        cur.u32(),
-        cur.u32(),
-        cur.u32(),
-    )
-    if m < 1 or c_a < 1:
-        raise FormatError("feature dimensions must be positive")
-    if num < 1 or den < 1:
-        raise FormatError("fps fields must be positive")
-    beats = cur.floats(n_beats, "beats", "<f8")
+    m, c_a, fps = _read_frames_header(cur, MAGIC_FEATURES, "feature")
+    beats = cur.floats(cur.u32(), "beats", "<f8")
     features = cur.floats(m * c_a, "features").reshape(m, c_a)
     cur.done()
-    try:
-        return AudioCondition(features, Fraction(num, den), beats)
-    except InvalidArgumentError as e:
-        raise FormatError(f"invalid features: {e}") from e
+    return _as_format_error("features", AudioCondition, features, fps, beats)
 
 
 # -- MDNN ---------------------------------------------------------------
@@ -272,10 +253,7 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
         expected = shape if len(shape) == 2 else (1, *shape)
         if layer.shape != expected:
             raise FormatError(f"layer {name} is {layer.shape}, expected {expected}")
-    try:
-        model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed)
-    except (InvalidArgumentError, ValueError) as e:
-        raise FormatError(f"invalid denoiser meta: {e}") from e
+    model = _as_format_error("denoiser meta", MlpDenoiser, c, c_a, hidden, embed)
     model.set_flat(np.concatenate([layer.ravel() for layer in layers[1:]]))
     return model
 
@@ -352,7 +330,7 @@ _READERS = {
 
 
 def read_transform(path) -> TpsTransform:
-    return transform_from_bytes(_read_file(path))
+    return transform_from_bytes(Path(path).read_bytes())
 
 
 def write_transform(path, t: TpsTransform):
@@ -360,7 +338,7 @@ def write_transform(path, t: TpsTransform):
 
 
 def read_flow(path) -> FlowField:
-    return flow_from_bytes(_read_file(path))
+    return flow_from_bytes(Path(path).read_bytes())
 
 
 def write_flow(path, field: FlowField):
@@ -368,7 +346,7 @@ def write_flow(path, field: FlowField):
 
 
 def read_sequence(path) -> MotionSequence:
-    return sequence_from_bytes(_read_file(path))
+    return sequence_from_bytes(Path(path).read_bytes())
 
 
 def write_sequence(path, seq: MotionSequence):
@@ -376,7 +354,7 @@ def write_sequence(path, seq: MotionSequence):
 
 
 def read_audio_features(path) -> AudioCondition:
-    return audio_features_from_bytes(_read_file(path))
+    return audio_features_from_bytes(Path(path).read_bytes())
 
 
 def write_audio_features(path, cond: AudioCondition):
@@ -384,16 +362,11 @@ def write_audio_features(path, cond: AudioCondition):
 
 
 def read_denoiser(path) -> MlpDenoiser:
-    return denoiser_from_bytes(_read_file(path))
+    return denoiser_from_bytes(Path(path).read_bytes())
 
 
 def write_denoiser(path, model: MlpDenoiser):
     write_atomic(path, denoiser_to_bytes(model))
-
-
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def verify_file(path) -> tuple[str, str]:
@@ -402,7 +375,7 @@ def verify_file(path) -> tuple[str, str]:
     Raises FormatError when the file is truncated, corrupt, or of an
     unrecognized kind.
     """
-    data = _read_file(path)
+    data = Path(path).read_bytes()
     for magic, (kind, parse, info) in _READERS.items():
         if data.startswith(magic):
             return kind, info(parse(data))

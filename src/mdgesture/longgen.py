@@ -83,23 +83,16 @@ def select_best(prev_segment, candidates, window: int = WINDOW):
     """Score every candidate against prev_segment's closing window.
 
     Returns (index of the lowest total score, all scores); ties go to the
-    lowest index.
+    lowest index. A segment shorter than the window, or a candidate of
+    another channel count, fails the scores' window check.
     """
-    prev = _frames_of(prev_segment)
     if len(candidates) < 1:
         raise InvalidArgumentError("need at least one candidate")
     window = int(window)
-    if prev.shape[0] < window:
-        raise InvalidArgumentError("previous segment shorter than the score window")
-    tail = prev[-window:]
+    tail = _frames_of(prev_segment)[-window:]
     scores = []
     for cand in candidates:
-        frames = _frames_of(cand)
-        if frames.shape[0] < window:
-            raise InvalidArgumentError("candidate shorter than the score window")
-        if frames.shape[1] != prev.shape[1]:
-            raise InvalidArgumentError("candidate channel count mismatch")
-        head = frames[:window]
+        head = _frames_of(cand)[:window]
         scores.append(
             CandidateScore(
                 position_score(tail, head, window),

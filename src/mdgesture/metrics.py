@@ -32,34 +32,32 @@ def _speeds(frames) -> np.ndarray:
     return np.linalg.norm(steps, axis=2).mean(axis=1)
 
 
-def gesture_beats(seq, sigma_smooth: float = DEFAULT_SIGMA_SMOOTH) -> np.ndarray:
-    """Beat times (seconds): strict local minima of smoothed speed.
-
-    Speed sample i covers the step from frame i to i+1 and is timestamped
-    i/fps. sigma_smooth <= 0 skips smoothing.
-    """
+def _speed_minima(seq, sigma_smooth: float):
+    """(raw speed, smoothed speed, indices of the smoothed speed's strict
+    local minima); sample i is the step from frame i to i+1."""
     if not isinstance(seq, MotionSequence):
-        raise InvalidArgumentError("gesture_beats needs a MotionSequence")
+        raise InvalidArgumentError("speed minima need a MotionSequence")
     if seq.n_frames < 3:
         raise InvalidArgumentError("need at least 3 frames to find speed minima")
-    smooth = gaussian_smooth(_speeds(seq.frames), sigma_smooth)
+    raw = _speeds(seq.frames)
+    smooth = gaussian_smooth(raw, sigma_smooth)
     inner = slice(1, -1)
     minima = (smooth[inner] < smooth[:-2]) & (smooth[inner] < smooth[2:])
-    idx = np.nonzero(minima)[0] + 1
+    return raw, smooth, np.nonzero(minima)[0] + 1
+
+
+def gesture_beats(seq, sigma_smooth: float = DEFAULT_SIGMA_SMOOTH) -> np.ndarray:
+    """Beat times (seconds): strict local minima of smoothed speed, speed
+    sample i timestamped i/fps. sigma_smooth <= 0 skips smoothing."""
+    _, _, idx = _speed_minima(seq, sigma_smooth)
     return idx / float(seq.fps)
 
 
 def velocity_curve(seq, sigma_smooth: float = DEFAULT_SIGMA_SMOOTH):
     """Per-speed-sample dump: (frame, raw speed, smoothed speed, is_beat)."""
-    if not isinstance(seq, MotionSequence):
-        raise InvalidArgumentError("velocity_curve needs a MotionSequence")
-    if seq.n_frames < 3:
-        raise InvalidArgumentError("need at least 3 frames")
-    raw = _speeds(seq.frames)
-    smooth = gaussian_smooth(raw, sigma_smooth)
+    raw, smooth, idx = _speed_minima(seq, sigma_smooth)
     is_beat = np.zeros(raw.size, dtype=bool)
-    beat_idx = np.round(gesture_beats(seq, sigma_smooth) * float(seq.fps))
-    is_beat[beat_idx.astype(int)] = True
+    is_beat[idx] = True
     return np.arange(raw.size), raw, smooth, is_beat
 
 

@@ -8,6 +8,7 @@ identity and round trips are bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -120,8 +121,7 @@ def mask_to_pgm(mask: np.ndarray) -> bytes:
 
 
 def read_pnm_file(path) -> RasterImage:
-    with open(path, "rb") as fh:
-        return parse_pnm(fh.read())
+    return parse_pnm(Path(path).read_bytes())
 
 
 def write_pnm_file(path, img: RasterImage) -> None:

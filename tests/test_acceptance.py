@@ -278,7 +278,7 @@ def test_4_gradient_check(capsys):
     t = 4
     x_t = q_sample(x0, t, g.standard_normal((9, 5)), sched)
 
-    _, grads = model.loss_gradients(x0, x_t, t, cond, 1.0, 1.0)
+    grads = model.loss_gradients(x0, x_t, t, cond, 1.0, 1.0)
     flat_grad = np.concatenate([grads[n].ravel() for n in model.PARAM_NAMES])
     theta = model.get_flat()
 

@@ -476,6 +476,63 @@ class TestGenerate:
         assert not out.exists() and not scores.exists() and not frames.exists()
 
 
+def with_key(cfg_text: str, key: str, value: str) -> str:
+    lines = [ln for ln in cfg_text.splitlines() if ln.split(" = ")[0] != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+NOT_UTF8 = b"\xff\xfe"  # a UTF-16 byte-order mark is not valid UTF-8
+
+
+@pytest.mark.parametrize(
+    "cfg,extra,pairs,code",
+    [
+        (with_key(RENDER_CFG, "softness", "inf"), [], None, 3),
+        (with_key(RENDER_CFG, "gamma", "nan"), [], None, 3),
+        (with_key(RENDER_CFG, "lr", "inf"), [], None, 3),
+        (with_key(RENDER_CFG, "lambda_vel", "inf"), [], None, 3),
+        (with_key(RENDER_CFG, "sigma_b", "inf"), [], None, 3),
+        (with_key(RENDER_CFG, "amp", "inf"), [], None, 3),
+        (NOT_UTF8 + RENDER_CFG.encode(), [], None, 3),
+        (RENDER_CFG, ["--seconds", "nan"], None, 2),
+        (RENDER_CFG, ["--seconds", "inf"], None, 2),
+        (RENDER_CFG, ["--seconds", "1e300"], None, 2),
+        (RENDER_CFG, ["--frames", str(2**32)], None, 2),
+        (None, [], NOT_UTF8 + formats.PAIRS_HEADER.encode(), 3),
+    ],
+    ids=["softness_inf", "gamma_nan", "lr_inf", "lambda_vel_inf", "sigma_b_inf",
+         "amp_inf", "config_not_utf8", "seconds_nan", "seconds_inf",
+         "seconds_1e300", "frames_over_u32", "pairs_not_utf8"],
+)
+def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
+    """Each input once ended in a traceback or left artifacts behind."""
+    out, scores, frames = (tmp_path / n for n in ("gen.mdsq", "s.csv", "frames"))
+    if pairs is not None:
+        (tmp_path / "pairs.csv").write_bytes(pairs)
+        argv = ["tps-solve", "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out)]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(cfg if isinstance(cfg, bytes) else cfg.encode())
+        model = MlpDenoiser(8, 2, hidden=12, embed=4)
+        formats.write_denoiser(tmp_path / "model.mdnn", model)
+        formats.write_audio_features(
+            tmp_path / "f.mdaf", AudioCondition(np.ones((6, 2)), 25)
+        )
+        seed = [[-0.5, -0.5, 0.5, -0.5, 0.5, 0.5, -0.5, 0.5]]
+        formats.write_sequence(tmp_path / "s.mdsq", MotionSequence(np.array(seed)))
+        src = tmp_path / "src.ppm"
+        src.write_bytes(write_pnm(from_bytes_array(np.zeros((4, 4, 3), np.uint8))))
+        argv = ["generate", "--config", str(cfg_path),
+                "--params", str(tmp_path / "model.mdnn"),
+                "--features", str(tmp_path / "f.mdaf"),
+                "--seed-motion", str(tmp_path / "s.mdsq"),
+                "--out", str(out), "--scores", str(scores),
+                "--render-src", str(src), "--render-dir", str(frames), *extra]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not scores.exists() and not frames.exists()
+
+
 @pytest.fixture(scope="module")
 def rendered(tmp_path_factory):
     root = tmp_path_factory.mktemp("render")
@@ -649,6 +706,19 @@ class TestBeats:
         assert cond.n_channels == 4
         assert cond.beats.size == 6
         assert 0.5 < cond.features.max() <= 1.0
+
+    def test_more_channels_than_frames(self, wav_path, tmp_path):
+        path, _ = wav_path
+        feat = tmp_path / "clicks.mdaf"
+        code = cli.main(
+            ["beats", "--wav", str(path), "--out", str(tmp_path / "b.csv"),
+             "--features", str(feat), "--fps", "25", "--channels", "100"]
+        )
+        assert code == 0
+        f = formats.read_audio_features(feat).features
+        assert f.shape == (75, 100)
+        assert not f[:, 75:].any()  # lags past the clip's 75 frames
+        assert np.array_equal(f[74:, 74], f[:1, 0])
 
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "x.wav"

@@ -174,6 +174,12 @@ class TestGuidance:
         x = rng.normal(size=(2, 3))
         assert np.array_equal(guided_x0(d, x, 1, cond, 2.0), np.full((2, 3), 2.0))
 
+    def test_null_condition_built_once(self):
+        cond = tiny_condition(3, 2)
+        assert cond.masked is cond.masked
+        assert not cond.masked.audio.any()
+        assert np.array_equal(cond.masked.seed_motion, cond.seed_motion)
+
 
 class TestSample:
     def test_converges_to_fixed_target(self, rng):
@@ -270,7 +276,7 @@ class TestMlpDenoiser:
         x0 = rng.normal(size=(6, 4))
         x_t = rng.normal(size=(6, 4))
         cond = tiny_condition(6, 4)
-        loss, grads = model.loss_gradients(x0, x_t, 5, cond)
+        grads = model.loss_gradients(x0, x_t, 5, cond)
         flat_g = np.concatenate([grads[n].ravel() for n in model.PARAM_NAMES])
         theta = model.get_flat()
         worst = 0.0
@@ -296,10 +302,20 @@ class TestMlpDenoiser:
         x_t = rng.normal(size=(5, 4))
         cond = tiny_condition(5, 4)
         audio_cols = slice(4, 7)  # [x_t | audio | seed | embedding]
-        _, g_masked = model.loss_gradients(x0, x_t, 2, cond.masked())
-        _, g_plain = model.loss_gradients(x0, x_t, 2, cond)
+        g_masked = model.loss_gradients(x0, x_t, 2, cond.masked)
+        g_plain = model.loss_gradients(x0, x_t, 2, cond)
         assert np.all(g_masked["w1"][:, audio_cols] == 0.0)
         assert np.linalg.norm(g_plain["w1"][:, audio_cols]) > 0.0
+
+    @pytest.mark.parametrize(
+        "m,lambda_vel,lambda_acc", [(2, 0.0, 1.0), (1, 1.0, 0.0)],
+        ids=["acc_needs_3_frames", "vel_needs_2_frames"],
+    )
+    def test_short_window_refused(self, m, lambda_vel, lambda_acc):
+        model = MlpDenoiser(4, 3, hidden=6, embed=4)
+        x = np.zeros((m, 4))
+        with pytest.raises(InvalidArgumentError):
+            model.loss_gradients(x, x, 1, tiny_condition(m, 4), lambda_vel, lambda_acc)
 
     def test_predict_shape_validation(self):
         model = MlpDenoiser(4, 3, hidden=8, embed=4)
