@@ -231,7 +231,7 @@ def _frame_transforms(motion, seed_vec, cfg) -> list:
             for pts in all_pts]
 
 
-def _render_frames(frame_transforms, cfg, src_img, out_dir, seed):
+def _render_frames(frame_transforms, cfg, src_img, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["frame,file"]
@@ -242,7 +242,7 @@ def _render_frames(frame_transforms, cfg, src_img, out_dir, seed):
         name = f"frame_{i:05d}.ppm"
         write_pnm_file(out_dir / name, warp_image(src_img, field))
         rows.append(f"{i},{name}")
-    _write_text(out_dir / "frames.csv", rows, seed=seed)
+    _write_text(out_dir / "frames.csv", rows, seed=cfg.seed)
 
 
 def cmd_generate(args) -> int:
@@ -302,7 +302,7 @@ def cmd_generate(args) -> int:
             )
         _write_text(args.scores, rows, seed=cfg.seed)
     if args.render_src:
-        _render_frames(frame_transforms, cfg, src_img, args.render_dir, cfg.seed)
+        _render_frames(frame_transforms, cfg, src_img, args.render_dir)
     print(f"wrote {motion.n_frames} frames to {args.out}")
     return 0
 
@@ -400,6 +400,8 @@ def _lag_stack(envelope: np.ndarray, channels: int) -> np.ndarray:
 
 
 def cmd_beats(args) -> int:
+    if args.fps < 1 or args.channels < 1:
+        raise InvalidArgumentError("--fps and --channels must be >= 1")
     clip = read_wav(Path(args.wav).read_bytes())
     envelope = onset_envelope(clip, args.win, args.hop)
     beats = detect_beats(envelope, args.hop, clip.sample_rate, args.ratio)

@@ -17,7 +17,7 @@ verification run in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,18 +32,19 @@ PROBE_EVERY = 10  # training steps between probe-loss rows
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Noise schedule: per-step alpha, its cumulative product, and beta."""
+    """Noise schedule given by its per-step beta; alpha = 1 - beta and
+    alpha_bar, the cumulative product of alpha, are derived from it."""
 
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=np.float64)
-        a = np.asarray(self.alpha, dtype=np.float64)
-        ab = np.asarray(self.alpha_bar, dtype=np.float64)
-        if b.ndim != 1 or b.shape != a.shape or a.shape != ab.shape or b.size < 1:
-            raise InvalidArgumentError("schedule arrays must be equal-length 1-D")
+        if b.ndim != 1 or b.size < 1:
+            raise InvalidArgumentError("beta must be a nonempty 1-D array")
+        a = 1.0 - b
+        ab = np.cumprod(a)
         if not (np.all(a > 0) and np.all(a < 1)):
             raise InvalidArgumentError("alpha must lie in (0, 1)")
         if ab.size > 1 and not np.all(np.diff(ab) < 0):
@@ -62,8 +63,8 @@ def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
 
     linear: beta evenly spaced over [1e-4, 0.02] scaled by 1000/T.
     cosine: abar_t = f(t)/f(0) with f(t) = cos^2((t/T + 0.008)/1.008 *
-    pi/2), converted to betas. Both clamp beta at 0.999 and recompute
-    alpha_bar as the cumulative product, so the invariants hold exactly.
+    pi/2), converted to betas. Both clamp beta at 0.999; the schedule
+    derives alpha and alpha_bar from the clamped beta.
     """
     t_steps = int(t_steps)
     if t_steps < 1:
@@ -79,9 +80,7 @@ def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
         beta = 1.0 - abar[1:] / abar[:-1]
     else:
         raise InvalidArgumentError(f"unknown schedule kind {kind!r}")
-    beta = np.clip(beta, None, 0.999)
-    alpha = 1.0 - beta
-    return DiffusionSchedule(beta, alpha, np.cumprod(alpha))
+    return DiffusionSchedule(np.clip(beta, None, 0.999))
 
 
 def _check_step(t: int, sched: DiffusionSchedule) -> int:
@@ -174,19 +173,17 @@ def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
 
 
 def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-           m: int, c: int, seed, gamma: float = 1.0,
-           fps=DEFAULT_FPS) -> MotionSequence:
-    """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed."""
-    m, c = int(m), int(c)
-    if m < 1 or c < 1:
-        raise InvalidArgumentError("m and c must be >= 1")
-    if cond.audio.shape[0] != m:
-        raise InvalidArgumentError("audio rows must align with frames")
+           seed, gamma: float = 1.0, fps=DEFAULT_FPS) -> MotionSequence:
+    """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed.
+
+    The motion has one frame per audio row of cond and one channel per
+    entry of its seed motion."""
+    shape = (cond.audio.shape[0], cond.seed_motion.size)
     g = generator(seed)
-    x = g.standard_normal((m, c))
+    x = g.standard_normal(shape)
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
-        noise = g.standard_normal((m, c)) if t > 1 else None
+        noise = g.standard_normal(shape) if t > 1 else None
         x = p_step(x, t, x0h, sched, noise)
     return MotionSequence(x, fps)
 

@@ -41,31 +41,29 @@ class CandidateScore:
         return self.position + self.angle
 
 
-def _windows(prev_tail, cand_head, window: int):
+def _windows(prev_tail, cand_head):
     a = np.asarray(prev_tail, dtype=np.float64)
     b = np.asarray(cand_head, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise InvalidArgumentError("windows must be matrices of identical shape")
-    if a.shape[0] != int(window):
-        raise InvalidArgumentError(f"windows must hold exactly {window} frames")
+    if a.shape[0] != WINDOW:
+        raise InvalidArgumentError(f"windows must hold exactly {WINDOW} frames")
     return a, b
 
 
-def position_score(prev_tail, cand_head, window: int = WINDOW) -> float:
+def position_score(prev_tail, cand_head) -> float:
     """L1 distance between the two windows' per-channel mean positions."""
-    a, b = _windows(prev_tail, cand_head, window)
+    a, b = _windows(prev_tail, cand_head)
     return float(np.sum(np.abs(a.mean(axis=0) - b.mean(axis=0))))
 
 
-def velocity_angle_score(prev_tail, cand_head, window: int = WINDOW) -> float:
+def velocity_angle_score(prev_tail, cand_head) -> float:
     """Mean angle between the windows' per-keypoint mean velocities.
 
     Velocities are frame differences averaged over each window; keypoints
     whose mean velocity is shorter than 1e-6 in either window contribute 0.
     """
-    a, b = _windows(prev_tail, cand_head, window)
-    if a.shape[0] < 2:
-        raise InvalidArgumentError("angle score needs at least 2 frames per window")
+    a, b = _windows(prev_tail, cand_head)
     va = np.diff(as_points(a), axis=0).mean(axis=0)
     vb = np.diff(as_points(b), axis=0).mean(axis=0)
     na = np.linalg.norm(va, axis=1)
@@ -79,25 +77,21 @@ def velocity_angle_score(prev_tail, cand_head, window: int = WINDOW) -> float:
     return float(angles.mean())
 
 
-def select_best(prev_segment, candidates, window: int = WINDOW):
-    """Score every candidate against prev_segment's closing window.
+def select_best(prev_segment, candidates):
+    """Score every candidate against prev_segment's closing WINDOW frames.
 
     Returns (index of the lowest total score, all scores); ties go to the
-    lowest index. A segment shorter than the window, or a candidate of
+    lowest index. A segment shorter than WINDOW, or a candidate of
     another channel count, fails the scores' window check.
     """
     if len(candidates) < 1:
         raise InvalidArgumentError("need at least one candidate")
-    window = int(window)
-    tail = _frames_of(prev_segment)[-window:]
+    tail = _frames_of(prev_segment)[-WINDOW:]
     scores = []
     for cand in candidates:
-        head = _frames_of(cand)[:window]
+        head = _frames_of(cand)[:WINDOW]
         scores.append(
-            CandidateScore(
-                position_score(tail, head, window),
-                velocity_angle_score(tail, head, window),
-            )
+            CandidateScore(position_score(tail, head), velocity_angle_score(tail, head))
         )
     best = min(range(len(scores)), key=lambda i: scores[i].total)
     return best, scores
@@ -133,7 +127,6 @@ def generate_long(
     seed_vec = np.asarray(seed_motion, dtype=np.float64).reshape(-1)
     if seed_vec.size == 0 or not np.all(np.isfinite(seed_vec)):
         raise InvalidArgumentError("seed motion must be a finite nonempty vector")
-    c = seed_vec.size
     m = int(segment_len)
     m_total = int(m_total)
     n_cand = int(candidates)
@@ -165,7 +158,7 @@ def generate_long(
     start, seeds = seed_vec, [seed]
     for i in range(n_seg):
         cond_i = Condition(feats[i * m : (i + 1) * m], start)
-        draws = [sample(denoiser, cond_i, schedule, m, c, seed=draw_seed,
+        draws = [sample(denoiser, cond_i, schedule, seed=draw_seed,
                         gamma=gamma, fps=fps) for draw_seed in seeds]
         best, scores = select_best(segments[-1], draws) if segments else (0, [])
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))

@@ -8,7 +8,6 @@ pooling of a sequence, not a learned extractor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +83,6 @@ def beat_align_score(audio_beats, gesture_times, sigma_b: float = DEFAULT_SIGMA_
         return 0.0
     gaps = np.min(np.abs(a[:, None] - g[None, :]), axis=1)
     return float(np.mean(np.exp(-(gaps**2) / (2.0 * float(sigma_b) ** 2))))
-
-
-def beat_mean_distance(audio_beats, gesture_times) -> float:
-    """Mean distance from each audio beat to its nearest gesture beat."""
-    a, g = _beat_arrays(audio_beats, gesture_times)
-    if g.size == 0:
-        return math.inf
-    return float(np.mean(np.min(np.abs(a[:, None] - g[None, :]), axis=1)))
 
 
 def diversity(features) -> float:

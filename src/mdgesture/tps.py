@@ -83,13 +83,11 @@ class TpsTransform:
     affine: 2x3 matrix; row d holds the coefficients of (x, y, 1).
     weights: N x 2 radial weights.
     controls_d: N x 2 origin-space anchor points.
-    regularization: the Tikhonov epsilon used at solve time.
     """
 
     affine: np.ndarray
     weights: np.ndarray
     controls_d: np.ndarray
-    regularization: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.affine, dtype=np.float64)
@@ -99,8 +97,6 @@ class TpsTransform:
             raise InvalidArgumentError("affine must be a finite 2x3 matrix")
         if w.shape[0] != c.shape[0]:
             raise InvalidArgumentError("weights and controls_d disagree on N")
-        if not (np.isfinite(self.regularization) and self.regularization >= 0):
-            raise InvalidArgumentError("regularization must be finite and >= 0")
         object.__setattr__(self, "affine", a)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "controls_d", c)
@@ -160,7 +156,7 @@ def solve_tps(src, dst, regularization: float = 0.0) -> TpsTransform:
         np.array([coef[1, 0], coef[2, 0], coef[0, 0]]),
         np.array([coef[1, 1], coef[2, 1], coef[0, 1]]),
     ])
-    return TpsTransform(affine, weights, dst.copy(), float(regularization))
+    return TpsTransform(affine, weights, dst.copy())
 
 
 def identity_transform() -> TpsTransform:

@@ -241,8 +241,6 @@ def test_3_diffusion_algebra(capsys):
             _OracleDenoiser(x0),
             Condition(np.zeros((6, 1)), np.zeros(4)),
             sched,
-            6,
-            4,
             seed=(3003,),
         )
         err = np.abs(got.frames - x0).max()

@@ -720,6 +720,19 @@ class TestBeats:
         assert not f[:, 75:].any()  # lags past the clip's 75 frames
         assert np.array_equal(f[74:, 74], f[:1, 0])
 
+    @pytest.mark.parametrize("flag,value", [("--channels", "-1"), ("--channels", "0"),
+                                            ("--fps", "0"), ("--fps", "-3")])
+    def test_bad_fps_or_channels_writes_nothing(self, wav_path, tmp_path, capsys,
+                                                flag, value):
+        path, _ = wav_path
+        out, feat = tmp_path / "b.csv", tmp_path / "clicks.mdaf"
+        assert cli.main(
+            ["beats", "--wav", str(path), "--out", str(out), "--features", str(feat),
+             flag, value]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not feat.exists()
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"definitely not RIFF data")

@@ -7,6 +7,7 @@ from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import (
     Condition,
     Denoiser,
+    DiffusionSchedule,
     MlpDenoiser,
     MotionSequence,
     guided_x0,
@@ -80,6 +81,24 @@ class TestSchedule:
             make_schedule(0)
         with pytest.raises(InvalidArgumentError):
             make_schedule(10, "quadratic")
+
+    @pytest.mark.parametrize("kind", ["linear", "cosine"])
+    def test_alpha_derived_from_beta(self, kind):
+        beta = make_schedule(50, kind).beta
+        s = DiffusionSchedule(beta)
+        assert np.array_equal(s.alpha, 1 - beta)
+        assert np.array_equal(s.alpha_bar, np.cumprod(1 - beta))
+
+    def test_alpha_cannot_be_passed(self):
+        # a second copy of alpha could contradict beta; it is not a parameter
+        s = make_schedule(10, "cosine")
+        with pytest.raises(TypeError):
+            DiffusionSchedule(s.beta, 0.5 * s.alpha, s.alpha_bar)
+
+    @pytest.mark.parametrize("beta", [[0.1, 0.0], [0.1, 1.0], [-0.1, 0.2], [0.5, 1.5]])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        with pytest.raises(InvalidArgumentError):
+            DiffusionSchedule(np.array(beta))
 
 
 class TestQSample:
@@ -186,7 +205,7 @@ class TestSample:
         sched = make_schedule(50, "cosine")
         target = rng.normal(size=(6, 4))
         d = ConstantDenoiser(target)
-        out = sample(d, tiny_condition(6, 4), sched, 6, 4, seed=11)
+        out = sample(d, tiny_condition(6, 4), sched, seed=11)
         assert np.max(np.abs(out.frames - target)) < 1e-2
 
     def test_seed_determinism(self):
@@ -194,17 +213,25 @@ class TestSample:
         sched = make_schedule(20, "cosine")
         d = MlpDenoiser(3, 3, hidden=8, embed=4, seed=0)
         cond = tiny_condition(5, 3)
-        a = sample(d, cond, sched, 5, 3, seed=42)
-        b = sample(d, cond, sched, 5, 3, seed=42)
-        c = sample(d, cond, sched, 5, 3, seed=43)
+        a = sample(d, cond, sched, seed=42)
+        b = sample(d, cond, sched, seed=42)
+        c = sample(d, cond, sched, seed=43)
         assert np.array_equal(a.frames, b.frames)
         assert not np.array_equal(a.frames, c.frames)
 
     def test_returns_motion_sequence(self):
         sched = make_schedule(5, "cosine")
         out = sample(ConstantDenoiser(np.zeros((4, 2))), tiny_condition(4, 2),
-                     sched, 4, 2, seed=1)
+                     sched, seed=1)
         assert isinstance(out, MotionSequence)
+
+    def test_shape_from_condition(self):
+        sched = make_schedule(5, "cosine")
+        d = ConstantDenoiser(np.zeros((6, 4)))
+        cond = Condition(np.zeros((6, 2)), np.zeros(4))
+        assert sample(d, cond, sched, seed=1).frames.shape == (6, 4)
+        with pytest.raises(TypeError):  # no shape that could contradict cond
+            sample(d, cond, sched, 6, 9, seed=1)
 
 
 class TestLosses:
@@ -341,5 +368,5 @@ class TestTraining:
         from mdgesture.diffusion import make_schedule as _ms
 
         sched = _ms(cfg.t_steps, cfg.schedule)
-        out = sample(model, cond, sched, m, c, seed=123, gamma=1.0)
+        out = sample(model, cond, sched, seed=123, gamma=1.0)
         assert np.max(np.abs(out.frames - 0.3)) < 0.1

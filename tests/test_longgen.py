@@ -156,8 +156,6 @@ class TestGenerateLong:
             model,
             Condition(cond.features[:m], seed_motion),
             sched,
-            m,
-            c,
             seed=5,
             fps=cond.fps,
         )
@@ -174,8 +172,6 @@ class TestGenerateLong:
             model,
             Condition(cond.features[:m], seed_motion),
             sched,
-            m,
-            c,
             seed=5,
             fps=cond.fps,
         )
@@ -261,8 +257,6 @@ class TestGenerateLong:
             model,
             Condition(cond.features[:m], seed_motion),
             sched,
-            m,
-            4,
             seed=2,
             fps=cond.fps,
         )
@@ -271,8 +265,6 @@ class TestGenerateLong:
             model,
             Condition(cond.features[m : 2 * m], first.frames[-1]),
             sched,
-            m,
-            4,
             seed=(2, 1, 0),
             fps=cond.fps,
         )

@@ -8,7 +8,6 @@ from mdgesture.errors import InvalidArgumentError
 from mdgesture.metrics import (
     GaussianSummary,
     beat_align_score,
-    beat_mean_distance,
     diversity,
     frechet_distance,
     gesture_beats,
@@ -91,10 +90,6 @@ class TestBeatAlignScore:
             beat_align_score(audio, audio + off) for off in (0.0, 0.03, 0.08, 0.2)
         ]
         assert all(a > b for a, b in zip(scores, scores[1:]))
-
-    def test_mean_distance_secondary(self):
-        assert beat_mean_distance([1.0, 2.0], [1.1, 2.3]) == pytest.approx(0.2)
-        assert beat_mean_distance([1.0], []) == math.inf
 
 
 class TestDiversity:
