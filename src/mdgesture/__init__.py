@@ -28,6 +28,7 @@ from .diffusion import (
     sample,
     total_loss,
     train_denoiser,
+    training_windows,
 )
 from .errors import (
     ConfigError,
@@ -69,7 +70,7 @@ from .metrics import (
     summarize,
     velocity_curve,
 )
-from .motion import MotionSequence, clip_windows, flatten, spline_fill, unflatten
+from .motion import MotionSequence, flatten, spline_fill, unflatten
 from .ppm import RasterImage, parse_pnm, read_pnm_file, write_pnm, write_pnm_file
 from .rng import generator
 from .synth import make_dataset
@@ -107,7 +108,6 @@ __all__ = [
     "align_features",
     "beat_align_score",
     "bending_energy",
-    "clip_windows",
     "combine_flow",
     "deform_grids",
     "detect_beats",
@@ -146,6 +146,7 @@ __all__ = [
     "synth_condition",
     "total_loss",
     "train_denoiser",
+    "training_windows",
     "unflatten",
     "upsample_flow",
     "velocity_curve",

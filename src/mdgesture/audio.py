@@ -9,6 +9,7 @@ features are ingested from the binary feature file instead.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,8 +196,9 @@ def onset_envelope(clip: AudioClip, win: int = DEFAULT_WIN, hop: int = DEFAULT_H
 def detect_beats(envelope, hop: int, rate: int, threshold_ratio: float = 1.5):
     """Peak-pick an onset envelope into beat times (seconds).
 
-    A beat is a local maximum exceeding threshold_ratio times the moving
-    mean over +-10 frames. Peaks closer than 0.1 s keep only the larger.
+    A beat is a local maximum exceeding threshold_ratio (finite, > 0)
+    times the moving mean over +-10 frames. Peaks closer than 0.1 s keep
+    only the larger.
     """
     env = np.asarray(envelope, dtype=np.float64).reshape(-1)
     if env.size and not np.all(np.isfinite(env)):
@@ -204,6 +206,9 @@ def detect_beats(envelope, hop: int, rate: int, threshold_ratio: float = 1.5):
     hop, rate = int(hop), int(rate)
     if hop < 1 or rate < 1:
         raise InvalidArgumentError("hop and rate must be positive")
+    if not (math.isfinite(threshold_ratio) and threshold_ratio > 0):
+        raise InvalidArgumentError(
+            f"threshold ratio must be finite and > 0, got {threshold_ratio}")
     kept: list[tuple[float, float]] = []
     for i in range(1, env.size - 1):
         if not (env[i] > env[i - 1] and env[i] > env[i + 1]):

@@ -27,7 +27,7 @@ from .audio import (
     read_wav,
 )
 from .config import PipelineConfig, read_config_file
-from .diffusion import Condition, make_schedule, train_denoiser
+from .diffusion import train_denoiser, training_windows
 from .errors import (
     ConfigError,
     FormatError,
@@ -52,7 +52,7 @@ from .metrics import (
     summarize,
     velocity_curve,
 )
-from .motion import clip_windows, unflatten
+from .motion import unflatten
 from .ppm import mask_to_pgm, read_pnm_file, write_pnm_file
 from .synth import make_dataset
 from .tps import bending_energy, eval_tps, solve_tps
@@ -163,31 +163,9 @@ def _load_dataset_dir(path) -> list:
     return pairs
 
 
-def _training_windows(pairs, cfg: PipelineConfig) -> list:
-    """Cut each sequence into (motion window, condition) training items.
-
-    Each window is conditioned on its own audio slice and its first
-    frame as the seed motion.
-    """
-    items = []
-    for seq, cond in pairs:
-        if cond.n_frames != seq.n_frames:
-            raise InvalidArgumentError(
-                "feature rows do not match motion frames"
-            )
-        for off, win in clip_windows(seq, cfg.m, cfg.stride):
-            audio = cond.features[off : off + cfg.m]
-            items.append((win, Condition(audio, win.frames[0])))
-    if not items:
-        raise InvalidArgumentError(
-            f"no training windows: sequences shorter than m={cfg.m}"
-        )
-    return items
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    dataset = _training_windows(_load_dataset_dir(args.data), cfg)
+    dataset = training_windows(_load_dataset_dir(args.data), cfg)
     model, history = train_denoiser(dataset, cfg)
     formats.write_denoiser(args.out, model)
     if args.loss_csv:
@@ -271,25 +249,13 @@ def cmd_generate(args) -> int:
     elif args.seconds is not None:
         if not math.isfinite(args.seconds):
             raise InvalidArgumentError(f"--seconds must be finite, got {args.seconds}")
-        m_total = round(args.seconds * cfg.fps)
+        m_total = round(args.seconds * cond.fps)
     else:
         m_total = cond.n_frames
     if m_total > formats.MAX_U32:
         raise InvalidArgumentError(
             f"{m_total} frames do not fit a motion file's u32 frame count")
-    sched = make_schedule(cfg.t_steps, cfg.schedule)
-    motion, report = generate_long(
-        model,
-        cond,
-        seed_vec,
-        m_total,
-        sched,
-        segment_len=cfg.m,
-        candidates=cfg.p,
-        gap=cfg.gap,
-        seed=cfg.seed,
-        gamma=cfg.gamma,
-    )
+    motion, report = generate_long(model, cond, seed_vec, m_total, cfg)
     frame_transforms = (_frame_transforms(motion, seed_vec, cfg)
                         if args.render_src else None)
     formats.write_sequence(args.out, motion)
@@ -402,6 +368,8 @@ def _lag_stack(envelope: np.ndarray, channels: int) -> np.ndarray:
 def cmd_beats(args) -> int:
     if args.fps < 1 or args.channels < 1:
         raise InvalidArgumentError("--fps and --channels must be >= 1")
+    if not (math.isfinite(args.ratio) and args.ratio > 0):
+        raise InvalidArgumentError(f"--ratio must be finite and > 0, got {args.ratio}")
     clip = read_wav(Path(args.wav).read_bytes())
     envelope = onset_envelope(clip, args.win, args.hop)
     beats = detect_beats(envelope, args.hop, clip.sample_rate, args.ratio)
@@ -498,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output motion file")
     p.add_argument("--scores", help="write the candidate-score CSV here")
     p.add_argument("--frames", type=int, help="total frames (default: feature rows)")
-    p.add_argument("--seconds", type=float, help="total duration in seconds")
+    p.add_argument("--seconds", type=float,
+                   help="total duration in seconds, at the feature file's fps")
     p.add_argument("--render-src", help="source image to warp per frame")
     p.add_argument("--render-dir", help="directory for rendered frames")
     p.set_defaults(func=cmd_generate)
@@ -519,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="beat-time CSV")
     p.add_argument("--win", type=int, default=DEFAULT_WIN)
     p.add_argument("--hop", type=int, default=DEFAULT_HOP)
-    p.add_argument("--ratio", type=float, default=1.5)
+    p.add_argument("--ratio", type=float, default=1.5,
+                   help="peak threshold over the local mean envelope (> 0)")
     p.add_argument("--features", help="also write an audio feature file")
     p.add_argument("--fps", type=int, default=25, help="feature frame rate")
     p.add_argument("--channels", type=int, default=4, help="feature channels")

@@ -364,6 +364,33 @@ def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
     return {name: p.reshape(s) for (name, s), p in zip(shapes.items(), parts)}
 
 
+def training_windows(pairs, cfg: PipelineConfig) -> list:
+    """Cut (motion, audio features) pairs into training items.
+
+    Windows of cfg.m frames start at offsets 0, cfg.stride, 2*cfg.stride,
+    ... of each pair; each is (MotionSequence view, Condition of the same
+    audio rows seeded by the window's first frame). A pair whose feature
+    rows or frame rate differ from its motion's is an error, and so is
+    a dataset with no window at all.
+    """
+    m, items = cfg.m, []
+    for seq, feats in pairs:
+        if feats.n_frames != seq.n_frames or feats.fps != seq.fps:
+            raise InvalidArgumentError(
+                f"features ({feats.n_frames} rows at {feats.fps} fps) do not "
+                f"match motion ({seq.n_frames} frames at {seq.fps} fps)"
+            )
+        frames, audio = seq.frames, feats.features
+        for off in range(0, seq.n_frames - m + 1, cfg.stride):
+            items.append((MotionSequence(frames[off : off + m], seq.fps),
+                          Condition(audio[off : off + m], frames[off])))
+    if not items:
+        raise InvalidArgumentError(
+            f"no training windows: sequences shorter than m={m}"
+        )
+    return items
+
+
 def train_denoiser(dataset, cfg: PipelineConfig):
     """Minibatch SGD with momentum on the total loss.
 

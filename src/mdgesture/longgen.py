@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Condition, sample
+from .config import PipelineConfig
+from .diffusion import Condition, make_schedule, sample
 from .errors import InvalidArgumentError
 from .motion import MotionSequence, _frames_of, as_points, spline_fill
 
@@ -97,29 +98,20 @@ def select_best(prev_segment, candidates):
     return best, scores
 
 
-def generate_long(
-    denoiser,
-    cond_full,
-    seed_motion,
-    m_total: int,
-    schedule,
-    *,
-    segment_len: int = 80,
-    candidates: int = 5,
-    gap: int = 2,
-    seed=0,
-    gamma: float = 1.0,
-):
-    """Sample m_total frames as stitched segments of segment_len frames.
+def generate_long(denoiser, cond_full, seed_motion, m_total: int,
+                  cfg: PipelineConfig):
+    """Sample m_total frames as stitched segments of cfg.m frames.
 
-    One loop draws ceil(m_total / segment_len) segments. Segment 0 is one
-    draw on the root seed, conditioned on seed_motion, so a single-segment
-    call reproduces a plain sample() run bit for bit; a shorter request
-    trims it. Each later segment is conditioned on the previous one's last
-    frame, drawn `candidates` times with seeds (seed, segment, candidate),
-    and select_best keeps the best continuation. With gap > 0 every
-    junction's `gap` frames are replaced by a spline fit through 5 knot
-    frames on each side; gap = 0 concatenates as-is.
+    One loop draws ceil(m_total / cfg.m) segments on the schedule
+    make_schedule(cfg.t_steps, cfg.schedule) with guidance cfg.gamma.
+    Segment 0 is one draw on the root seed cfg.seed, conditioned on
+    seed_motion, so a single-segment call reproduces a plain sample() run
+    bit for bit; a shorter request trims it. Each later segment is
+    conditioned on the previous one's last frame, drawn cfg.p times with
+    seeds (cfg.seed, segment, candidate), and select_best keeps the best
+    continuation. With cfg.gap > 0 every junction's gap frames are
+    replaced by a spline fit through 5 knot frames on each side; gap = 0
+    concatenates as-is.
 
     Returns (motion, report) where report rows are
     (segment, candidate, CandidateScore, selected).
@@ -127,18 +119,10 @@ def generate_long(
     seed_vec = np.asarray(seed_motion, dtype=np.float64).reshape(-1)
     if seed_vec.size == 0 or not np.all(np.isfinite(seed_vec)):
         raise InvalidArgumentError("seed motion must be a finite nonempty vector")
-    m = int(segment_len)
+    m, gap = cfg.m, cfg.gap
     m_total = int(m_total)
-    n_cand = int(candidates)
-    gap = int(gap)
-    if m < 1:
-        raise InvalidArgumentError("segment length must be >= 1")
     if m_total < 1:
         raise InvalidArgumentError("total length must be >= 1 frame")
-    if n_cand < 1:
-        raise InvalidArgumentError("need at least one candidate per segment")
-    if gap < 0:
-        raise InvalidArgumentError("gap must be >= 0")
     feats = cond_full.features
     if feats.shape[0] < m:
         raise InvalidArgumentError("audio condition is shorter than one segment")
@@ -153,18 +137,19 @@ def generate_long(
         pad = np.repeat(feats[-1:], needed - feats.shape[0], axis=0)
         feats = np.vstack([feats, pad])
 
+    sched = make_schedule(cfg.t_steps, cfg.schedule)
     fps = cond_full.fps
     segments, report = [], []
-    start, seeds = seed_vec, [seed]
+    start, seeds = seed_vec, [cfg.seed]
     for i in range(n_seg):
         cond_i = Condition(feats[i * m : (i + 1) * m], start)
-        draws = [sample(denoiser, cond_i, schedule, seed=draw_seed,
-                        gamma=gamma, fps=fps) for draw_seed in seeds]
+        draws = [sample(denoiser, cond_i, sched, seed=draw_seed,
+                        gamma=cfg.gamma, fps=fps) for draw_seed in seeds]
         best, scores = select_best(segments[-1], draws) if segments else (0, [])
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
         segments.append(draws[best])
         start = draws[best].frames[-1]
-        seeds = [(seed, i + 1, p) for p in range(n_cand)]
+        seeds = [(cfg.seed, i + 1, p) for p in range(cfg.p)]
 
     full = np.vstack([s.frames for s in segments])
     if gap > 0:

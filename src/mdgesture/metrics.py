@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .motion import (
-    MotionSequence,
-    acceleration,
-    as_points,
-    gaussian_smooth,
-    velocity,
-)
+from .motion import MotionSequence, as_points, gaussian_smooth
 
 DEFAULT_SIGMA_BEAT = 0.1
 DEFAULT_SIGMA_SMOOTH = 2.0
@@ -182,10 +176,8 @@ def motion_features(seq) -> np.ndarray:
     frames = seq.frames
     if frames.shape[0] < 3:
         raise InvalidArgumentError("need at least 3 frames for pooled statistics")
-    vel = velocity(seq)
-    acc = acceleration(seq)
-    speed = np.linalg.norm(as_points(vel), axis=2).mean(axis=1)
-    accel = np.linalg.norm(as_points(acc), axis=2).mean(axis=1)
+    speed = _speeds(frames)
+    accel = _speeds(np.diff(frames, axis=0))
     return np.concatenate(
         [
             frames.mean(axis=0),

@@ -1,11 +1,10 @@
-"""Latent motion sequences: flattened keypoints and their differentials.
+"""Latent motion sequences: flattened keypoints and junction splines.
 
 A motion sequence is an M x C matrix, one row per frame, where C packs
 K transform groups of N keypoints each as (k major, n minor, x before y),
-so C = K * N * 2. Velocity and acceleration are forward differences, the
-same operators the training losses use. spline_fill restores smooth
-junctions between independently generated segments with a natural cubic
-spline fitted per channel.
+so C = K * N * 2. spline_fill restores smooth junctions between
+independently generated segments with a natural cubic spline fitted per
+channel.
 """
 
 from __future__ import annotations
@@ -84,22 +83,6 @@ def as_points(frames) -> np.ndarray:
     return f.reshape(f.shape[0], -1, 2)
 
 
-def velocity(seq) -> np.ndarray:
-    """Forward differences, (M-1, C)."""
-    frames = _frames_of(seq)
-    if frames.shape[0] < 2:
-        raise InvalidArgumentError("velocity needs at least 2 frames")
-    return np.diff(frames, axis=0)
-
-
-def acceleration(seq) -> np.ndarray:
-    """Second forward differences, (M-2, C)."""
-    frames = _frames_of(seq)
-    if frames.shape[0] < 3:
-        raise InvalidArgumentError("acceleration needs at least 3 frames")
-    return np.diff(frames, n=2, axis=0)
-
-
 def gaussian_smooth(values, sigma: float) -> np.ndarray:
     """Gaussian filter over a 1-d signal, kernel truncated at 3*sigma.
 
@@ -120,20 +103,6 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     kernel /= kernel.sum()
     padded = np.pad(v, radius, mode="edge")
     return np.convolve(padded, kernel, mode="valid")
-
-
-def clip_windows(seq: MotionSequence, window: int,
-                 stride: int) -> list[tuple[int, MotionSequence]]:
-    """(offset, window) for every fully-contained window, offsets 0,
-    stride, 2*stride, ..."""
-    window, stride = int(window), int(stride)
-    if window < 1 or stride < 1:
-        raise InvalidArgumentError("window and stride must be >= 1")
-    frames = seq.frames
-    return [
-        (start, MotionSequence(frames[start : start + window].copy(), seq.fps))
-        for start in range(0, frames.shape[0] - window + 1, stride)
-    ]
 
 
 def _natural_spline_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ modules.
 import math
 import struct
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from mdgesture import cli, formats
 from mdgesture.audio import AudioClip, read_wav, synth_condition, write_wav
-from mdgesture.config import PipelineConfig
+from mdgesture.config import PipelineConfig, parse_config
 from mdgesture.diffusion import (
     Condition,
     Denoiser,
@@ -451,20 +452,16 @@ def test_6_selection_beats_concatenation(toy_run, capsys):
     start = time.perf_counter()
 
     model = formats.read_denoiser(toy_run.model)
-    sched = make_schedule(50, "cosine")
+    cfg = parse_config(TOY_CFG)  # m = 80, T = 50, cosine, gamma = 2, p = 5, gap = 2
     cond = synth_condition(np.arange(0.2, 9.6, 0.4), 240, 25, 4, seed=123)
     seed_vec = formats.read_sequence(toy_run.data / "seq_0000.mdsq").frames[0]
 
     sel = {"pos": [], "ang": []}
     naive = {"pos": [], "ang": []}
     for s in range(20):
-        picked, _ = generate_long(
-            model, cond, seed_vec, 240, sched,
-            segment_len=80, candidates=5, gap=2, seed=s, gamma=2.0,
-        )
+        picked, _ = generate_long(model, cond, seed_vec, 240, replace(cfg, seed=s))
         concat, _ = generate_long(
-            model, cond, seed_vec, 240, sched,
-            segment_len=80, candidates=1, gap=0, seed=s, gamma=2.0,
+            model, cond, seed_vec, 240, replace(cfg, p=1, gap=0, seed=s)
         )
         p1, a1 = _junction_stats(picked.frames, 80)
         p0, a0 = _junction_stats(concat.frames, 80)

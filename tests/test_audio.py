@@ -209,6 +209,14 @@ class TestDetectBeats:
         env[50] = 1.01  # peak but under 1.5x the moving mean
         assert detect_beats(env, 256, 16000).size == 0
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0])
+    def test_ratio_must_be_finite_positive(self, ratio):
+        # a NaN or non-positive ratio would pass every local maximum
+        env = np.zeros(100)
+        env[40] = 1.0
+        with pytest.raises(InvalidArgumentError, match="threshold ratio"):
+            detect_beats(env, 256, 16000, ratio)
+
 
 class TestAlignFeatures:
     def test_same_grid_identity(self, rng):

@@ -306,6 +306,20 @@ class TestTrain:
              "--out", str(tmp_path / "m")]
         ) == 2
 
+    def test_features_at_another_fps(self, pipeline, tmp_path):
+        seq = formats.read_sequence(pipeline.data / "seq_0000.mdsq")
+        feats = formats.read_audio_features(pipeline.data / "seq_0000.mdaf")
+        formats.write_sequence(tmp_path / "a.mdsq", seq)
+        formats.write_audio_features(
+            tmp_path / "a.mdaf", AudioCondition(feats.features, 2 * seq.fps)
+        )
+        out = tmp_path / "m.mdnn"
+        assert cli.main(
+            ["train", "--config", str(pipeline.cfg), "--data", str(tmp_path),
+             "--out", str(out)]
+        ) == 2
+        assert not out.exists()
+
     def test_sequences_shorter_than_window(self, pipeline, tmp_path):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(TOY_CFG.replace("m = 12", "m = 200"))
@@ -346,6 +360,21 @@ class TestGenerate:
         code, out, _ = self.generate(pipeline, tmp_path, ["--seconds", "1.2"])
         assert code == 0
         assert formats.read_sequence(out).n_frames == 30
+
+    def test_seconds_use_feature_fps(self, pipeline, tmp_path):
+        # the config says fps = 25; the features run at 50
+        feats = tmp_path / "f50.mdaf"
+        formats.write_audio_features(feats, AudioCondition(np.zeros((100, 2)), 50))
+        out = tmp_path / "gen.mdsq"
+        assert cli.main(
+            ["generate", "--config", str(pipeline.cfg),
+             "--params", str(pipeline.model), "--features", str(feats),
+             "--seed-motion", str(pipeline.data / "seq_0000.mdsq"),
+             "--out", str(out), "--seconds", "0.6"]
+        ) == 0
+        motion = formats.read_sequence(out)
+        assert (motion.n_frames, motion.fps) == (30, 50)
+        assert motion.n_frames / motion.fps == pytest.approx(0.6)
 
     def test_multi_segment_scores(self, pipeline, tmp_path):
         code, out, scores = self.generate(pipeline, tmp_path, ["--frames", "30"])
@@ -721,7 +750,9 @@ class TestBeats:
         assert np.array_equal(f[74:, 74], f[:1, 0])
 
     @pytest.mark.parametrize("flag,value", [("--channels", "-1"), ("--channels", "0"),
-                                            ("--fps", "0"), ("--fps", "-3")])
+                                            ("--fps", "0"), ("--fps", "-3"),
+                                            ("--ratio", "nan"), ("--ratio", "inf"),
+                                            ("--ratio", "0"), ("--ratio", "-1")])
     def test_bad_fps_or_channels_writes_nothing(self, wav_path, tmp_path, capsys,
                                                 flag, value):
         path, _ = wav_path

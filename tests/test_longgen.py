@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdgesture.audio import AudioCondition, synth_condition
+from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import Condition, Denoiser, MlpDenoiser, make_schedule, sample
 from mdgesture.errors import InvalidArgumentError
 from mdgesture.longgen import (
@@ -136,26 +137,35 @@ class TestSelectBest:
             select_best(MotionSequence(rng.normal(size=(6, 2))), [])
 
 
+SCHED = make_schedule(8, "cosine")
+
+
+def toy_cfg(m=12, **kw):
+    """Long-generation settings on SCHED; gamma = 1 so a draw is a plain
+    conditional sample()."""
+    return PipelineConfig(k=1, n=2, m=m, t_steps=8, schedule="cosine",
+                          gamma=1.0, **kw)
+
+
 def toy_setup(m=12, c=4, m_total=None, seed=3):
-    sched = make_schedule(8, "cosine")
     model = MlpDenoiser(c, 3, hidden=10, embed=4, seed=1)
     total = m_total if m_total is not None else m
     cond = synth_condition([0.2], max(total, m), 25, 3, seed=seed)
     seed_motion = generator(seed, 77).normal(size=c)
-    return model, cond, seed_motion, sched
+    return model, cond, seed_motion
 
 
 class TestGenerateLong:
     def test_single_segment_matches_plain_sample(self):
         m, c = 12, 4
-        model, cond, seed_motion, sched = toy_setup(m, c)
+        model, cond, seed_motion = toy_setup(m, c)
         out, report = generate_long(
-            model, cond, seed_motion, m, sched, segment_len=m, seed=5
+            model, cond, seed_motion, m, toy_cfg(m, seed=5)
         )
         direct = sample(
             model,
             Condition(cond.features[:m], seed_motion),
-            sched,
+            SCHED,
             seed=5,
             fps=cond.fps,
         )
@@ -164,14 +174,14 @@ class TestGenerateLong:
 
     def test_short_request_trims_one_segment(self):
         m, c = 12, 4
-        model, cond, seed_motion, sched = toy_setup(m, c)
+        model, cond, seed_motion = toy_setup(m, c)
         out, report = generate_long(
-            model, cond, seed_motion, 6, sched, segment_len=m, seed=5
+            model, cond, seed_motion, 6, toy_cfg(m, seed=5)
         )
         direct = sample(
             model,
             Condition(cond.features[:m], seed_motion),
-            sched,
+            SCHED,
             seed=5,
             fps=cond.fps,
         )
@@ -180,33 +190,33 @@ class TestGenerateLong:
 
     def test_deterministic(self):
         m, c = 12, 4
-        model, cond, seed_motion, sched = toy_setup(m, c, m_total=30)
+        model, cond, seed_motion = toy_setup(m, c, m_total=30)
         a, _ = generate_long(
-            model, cond, seed_motion, 30, sched, segment_len=m, candidates=2, seed=5
+            model, cond, seed_motion, 30, toy_cfg(m, p=2, seed=5)
         )
         b, _ = generate_long(
-            model, cond, seed_motion, 30, sched, segment_len=m, candidates=2, seed=5
+            model, cond, seed_motion, 30, toy_cfg(m, p=2, seed=5)
         )
         d, _ = generate_long(
-            model, cond, seed_motion, 30, sched, segment_len=m, candidates=2, seed=6
+            model, cond, seed_motion, 30, toy_cfg(m, p=2, seed=6)
         )
         assert np.array_equal(a.frames, b.frames)
         assert not np.array_equal(a.frames, d.frames)
 
     def test_output_trimmed_to_total(self):
         m, c = 12, 4
-        model, cond, seed_motion, sched = toy_setup(m, c, m_total=29)
+        model, cond, seed_motion = toy_setup(m, c, m_total=29)
         out, report = generate_long(
-            model, cond, seed_motion, 29, sched, segment_len=m, candidates=2, seed=0
+            model, cond, seed_motion, 29, toy_cfg(m, p=2, seed=0)
         )
         assert out.n_frames == 29
         assert len(report) == 2 * 2  # two junction segments, two candidates each
 
     def test_report_marks_argmin(self):
         m = 12
-        model, cond, seed_motion, sched = toy_setup(m, 4, m_total=24)
+        model, cond, seed_motion = toy_setup(m, 4, m_total=24)
         _, report = generate_long(
-            model, cond, seed_motion, 24, sched, segment_len=m, candidates=3, seed=9
+            model, cond, seed_motion, 24, toy_cfg(m, p=3, seed=9)
         )
         rows = [r for r in report if r[0] == 1]
         assert len(rows) == 3
@@ -224,39 +234,31 @@ class TestGenerateLong:
             [0.4 * np.cos(1.7 * t), 0.4 * np.sin(1.7 * t)], axis=1
         )
         cond = AudioCondition(target, fps)
-        sched = make_schedule(10, "cosine")
         out, _ = generate_long(
             EchoDenoiser(),
             cond,
             target[0],
             m_total,
-            sched,
-            segment_len=m,
-            candidates=3,
-            gap=2,
-            seed=4,
+            PipelineConfig(k=1, n=1, m=m, t_steps=10, schedule="cosine",
+                           gamma=1.0, p=3, gap=2, seed=4),
         )
         assert np.max(np.abs(out.frames - target[:m_total])) < 1e-2
 
     def test_gap_zero_is_naive_concat(self):
         m = 12
-        model, cond, seed_motion, sched = toy_setup(m, 4, m_total=24)
+        model, cond, seed_motion = toy_setup(m, 4, m_total=24)
         out, report = generate_long(
             model,
             cond,
             seed_motion,
             24,
-            sched,
-            segment_len=m,
-            candidates=1,
-            gap=0,
-            seed=2,
+            toy_cfg(m, p=1, gap=0, seed=2),
         )
         # with one candidate and no fill the two halves are plain samples
         first = sample(
             model,
             Condition(cond.features[:m], seed_motion),
-            sched,
+            SCHED,
             seed=2,
             fps=cond.fps,
         )
@@ -264,7 +266,7 @@ class TestGenerateLong:
         second = sample(
             model,
             Condition(cond.features[m : 2 * m], first.frames[-1]),
-            sched,
+            SCHED,
             seed=(2, 1, 0),
             fps=cond.fps,
         )
@@ -272,33 +274,23 @@ class TestGenerateLong:
 
     def test_gap_fill_changes_only_junction_rows(self):
         m = 14
-        model, cond, seed_motion, sched = toy_setup(m, 4, m_total=28)
+        model, cond, seed_motion = toy_setup(m, 4, m_total=28)
         raw, _ = generate_long(
-            model, cond, seed_motion, 28, sched, segment_len=m, candidates=2,
-            gap=0, seed=1,
+            model, cond, seed_motion, 28, toy_cfg(m, p=2, gap=0, seed=1)
         )
         filled, _ = generate_long(
-            model, cond, seed_motion, 28, sched, segment_len=m, candidates=2,
-            gap=2, seed=1,
+            model, cond, seed_motion, 28, toy_cfg(m, p=2, gap=2, seed=1)
         )
         changed = np.any(raw.frames != filled.frames, axis=1)
         assert set(np.nonzero(changed)[0]) <= {m - 1, m}
 
     def test_audio_too_short(self):
-        model, cond, seed_motion, sched = toy_setup(12, 4)
+        model, cond, seed_motion = toy_setup(12, 4)
         short = AudioCondition(cond.features[:6], cond.fps)
         with pytest.raises(InvalidArgumentError):
-            generate_long(model, short, seed_motion, 12, sched, segment_len=12)
+            generate_long(model, short, seed_motion, 12, toy_cfg(12))
 
     def test_bad_arguments(self):
-        model, cond, seed_motion, sched = toy_setup(12, 4)
+        model, cond, seed_motion = toy_setup(12, 4)
         with pytest.raises(InvalidArgumentError):
-            generate_long(model, cond, seed_motion, 0, sched, segment_len=12)
-        with pytest.raises(InvalidArgumentError):
-            generate_long(
-                model, cond, seed_motion, 12, sched, segment_len=12, candidates=0
-            )
-        with pytest.raises(InvalidArgumentError):
-            generate_long(
-                model, cond, seed_motion, 12, sched, segment_len=12, gap=-1
-            )
+            generate_long(model, cond, seed_motion, 0, toy_cfg(12))

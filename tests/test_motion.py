@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from mdgesture.audio import AudioCondition
+from mdgesture.config import PipelineConfig
+from mdgesture.diffusion import training_windows
 from mdgesture.errors import InvalidArgumentError
 from mdgesture.motion import (
     MotionSequence,
-    acceleration,
     as_points,
-    clip_windows,
     flatten,
     spline_fill,
     unflatten,
-    velocity,
 )
 
 
@@ -50,72 +50,52 @@ class TestFlatten:
         assert np.array_equal(pts.reshape(5, 2, 3, 2), kp)
 
 
-class TestDifferentials:
-    def test_constant_velocity_zero(self):
-        seq = MotionSequence(np.ones((5, 4)))
-        assert np.array_equal(velocity(seq), np.zeros((4, 4)))
-
-    def test_linear_ramp(self):
-        v = np.array([1.0, -2.0, 0.5])
-        frames = np.arange(6)[:, None] * v[None, :]
-        assert np.allclose(velocity(frames), np.tile(v, (5, 1)))
-        assert np.array_equal(acceleration(frames), np.zeros((4, 3)))
-
-    def test_quadratic_acceleration(self):
-        u = np.array([0.5, 2.0])
-        frames = (np.arange(7)[:, None] ** 2) * u[None, :]
-        assert np.allclose(acceleration(frames), np.tile(2 * u, (5, 1)))
-
-    def test_random_matches_elementwise_oracle(self, rng):
-        f = rng.normal(size=(5, 3))
-        v = velocity(f)
-        for m in range(4):
-            assert np.array_equal(v[m], f[m + 1] - f[m])
-        a = acceleration(f)
-        for m in range(3):
-            # value equality only: the double difference associates
-            # differently from the one-shot stencil
-            assert np.allclose(a[m], f[m + 2] - 2 * f[m + 1] + f[m],
-                               rtol=0, atol=1e-14)
-
-    def test_acceleration_is_velocity_of_velocity(self, rng):
-        f = rng.normal(size=(8, 5))
-        assert np.array_equal(acceleration(f), velocity(velocity(f)))
-
-    def test_too_short(self):
-        with pytest.raises(InvalidArgumentError):
-            velocity(np.ones((1, 2)))
-        with pytest.raises(InvalidArgumentError):
-            acceleration(np.ones((2, 2)))
+def windows(seq, m, stride):
+    """training_windows over one sequence paired with features of its
+    own length and rate (audio column j holds frame index + j)."""
+    audio = np.arange(seq.n_frames)[:, None] + np.arange(2)[None, :]
+    pairs = [(seq, AudioCondition(audio, seq.fps))]
+    return training_windows(pairs, PipelineConfig(m=m, stride=stride))
 
 
 class TestWindows:
     def test_exact_fit(self, rng):
         seq = MotionSequence(rng.normal(size=(80, 4)))
-        wins = clip_windows(seq, 80, 10)
+        wins = windows(seq, 80, 10)
         assert len(wins) == 1
-        off, win = wins[0]
-        assert off == 0
+        win, cond = wins[0]
         assert np.array_equal(win.frames, seq.frames)
+        assert np.array_equal(cond.seed_motion, seq.frames[0])
 
     def test_strided(self, rng):
         seq = MotionSequence(rng.normal(size=(100, 2)))
-        wins = clip_windows(seq, 80, 10)
+        wins = windows(seq, 80, 10)
         assert len(wins) == 3
-        for i, (off, w) in enumerate(wins):
-            assert off == 10 * i
+        for i, (w, cond) in enumerate(wins):
             assert w.n_frames == 80
             assert np.array_equal(w.frames, seq.frames[10 * i : 10 * i + 80])
+            assert cond.audio[0, 0] == 10 * i  # audio cut at the same offset
+            assert np.array_equal(cond.seed_motion, seq.frames[10 * i])
 
     def test_window_longer_than_sequence(self, rng):
         seq = MotionSequence(rng.normal(size=(79, 2)))
-        assert clip_windows(seq, 80, 10) == []
+        with pytest.raises(InvalidArgumentError, match="no training windows"):
+            windows(seq, 80, 10)
 
     def test_fps_carried(self, rng):
         seq = MotionSequence(rng.normal(size=(10, 2)), fps=Fraction(30))
-        wins = clip_windows(seq, 5, 5)
-        assert [off for off, _ in wins] == [0, 5]
-        assert wins[0][1].fps == Fraction(30)
+        wins = windows(seq, 5, 5)
+        assert len(wins) == 2
+        for off, (w, _) in zip([0, 5], wins):
+            assert np.array_equal(w.frames, seq.frames[off : off + 5])
+            assert w.fps == Fraction(30)
+
+    @pytest.mark.parametrize("rows,fps", [(9, 30), (10, 25)])
+    def test_features_must_match_motion(self, rng, rows, fps):
+        seq = MotionSequence(rng.normal(size=(10, 2)), fps=Fraction(30))
+        pairs = [(seq, AudioCondition(np.zeros((rows, 2)), fps))]
+        with pytest.raises(InvalidArgumentError, match="do not match motion"):
+            training_windows(pairs, PipelineConfig(m=5, stride=5))
 
 
 class TestSplineFill:
