@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .fileio import read_text
+from .flow import MIN_SOFTNESS
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ class PipelineConfig:
         need(0.0 <= self.mask_prob <= 1.0, "mask_prob must be in [0, 1]")
         need(self.p >= 1, "p must be >= 1")
         need(self.gap >= 0, "gap must be >= 0")
-        need(self.softness > 0, "softness must be > 0")
+        need(self.softness >= MIN_SOFTNESS,
+             f"softness must be >= {MIN_SOFTNESS:g}")
         need(self.sigma_b > 0, "sigma_b must be > 0")
         need(self.sigma_smooth >= 0, "sigma_smooth must be >= 0")
         need(self.steps >= 1 and self.batch >= 1, "steps and batch must be >= 1")

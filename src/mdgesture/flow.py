@@ -17,9 +17,12 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .ppm import RasterImage
-from .tps import TpsTransform, eval_tps_grid, normalized_lattice
+from .tps import eval_tps_grid, lattice_axes, normalized_lattice
 
 FLOW_RESOLUTION = 64  # native resolution of composed flow fields
+# Smallest blend length scale. Far below one pixel even of a 4096-pixel
+# image (2/4095), and large enough that -d / softness cannot overflow.
+MIN_SOFTNESS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,23 +94,41 @@ def combine_flow(grids, control_sets, softness: float = 0.1,
         raise InvalidArgumentError("all grids must share one shape")
     if len(shape) != 3 or shape[2] != 2:
         raise InvalidArgumentError("grids must be (H, W, 2)")
-    if not (np.isfinite(softness) and softness > 0):
-        raise InvalidArgumentError("softness must be positive")
-
-    height, width = shape[:2]
-    q = normalized_lattice(height, width)
-    dists = []
     for c in control_sets:
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
             raise InvalidArgumentError("each control set must be (N, 2)")
-        diff = q[:, :, None, :] - c[None, None, :, :]
-        dists.append(np.sqrt(np.min(np.sum(diff * diff, axis=3), axis=2)))
+        if not np.all(np.isfinite(c)):
+            raise InvalidArgumentError("control sets must be finite")
+    if not (np.isfinite(softness) and softness >= MIN_SOFTNESS):
+        raise InvalidArgumentError(
+            f"softness must be finite and >= {MIN_SOFTNESS:g}, got {softness}"
+        )
+
+    # The lattice is separable, so squared distances are sums of a column
+    # term and a row term. Ragged sets are padded by repeating their last
+    # anchor, which leaves every minimum unchanged.
+    height, width = shape[:2]
+    x, y = lattice_axes(height, width)
+    n_max = max(c.shape[0] for c in control_sets)
+    anchors = np.stack([
+        np.concatenate([c, np.repeat(c[-1:], n_max - c.shape[0], axis=0)])
+        for c in control_sets
+    ])  # (K, N, 2)
+    dx = x[None, None, :] - anchors[:, :, 0, None]  # (K, N, W)
+    dy = y[None, None, :] - anchors[:, :, 1, None]  # (K, N, H)
+    sq_x = dx * dx
+    sq_y = dy * dy
+    nearest = sq_x[:, 0, None, :] + sq_y[:, 0, :, None]  # (K, H, W)
+    for i in range(1, n_max):
+        np.minimum(nearest, sq_x[:, i, None, :] + sq_y[:, i, :, None],
+                   out=nearest)
+    dists = np.sqrt(nearest)
     stack = list(grids)
     if background:
-        dists.append(np.max(np.stack(dists), axis=0))
-        stack.append(q)
+        dists = np.concatenate([dists, dists.max(axis=0, keepdims=True)])
+        stack.append(normalized_lattice(height, width))
 
-    logits = np.stack([-d / softness for d in dists])
+    logits = -dists / softness
     logits -= logits.max(axis=0, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=0, keepdims=True)
@@ -118,6 +139,15 @@ def combine_flow(grids, control_sets, softness: float = 0.1,
     return FlowField(out)
 
 
+def _taps(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left neighbour index and fraction of fractional positions `p` on an
+    axis of n >= 2 samples, clipped to the axis; the last sample is reached
+    as index n - 2 with fraction 1."""
+    p = np.clip(p, 0.0, n - 1.0)
+    i0 = np.minimum(np.floor(p), n - 2).astype(np.int64)
+    return i0, p - i0
+
+
 def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Sample (H, W, C) `field` at fractional pixel positions.
 
@@ -125,12 +155,10 @@ def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     texel unchanged, so integer lookups are bit-identical to indexing.
     """
     h, w = field.shape[:2]
-    px = np.clip(px, 0.0, w - 1.0)
-    py = np.clip(py, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(px), w - 2).astype(np.int64)
-    y0 = np.minimum(np.floor(py), h - 2).astype(np.int64)
-    fx = (px - x0)[..., None]
-    fy = (py - y0)[..., None]
+    x0, fx = _taps(px, w)
+    y0, fy = _taps(py, h)
+    fx = fx[..., None]
+    fy = fy[..., None]
     top = (1.0 - fx) * field[y0, x0] + fx * field[y0, x0 + 1]
     bot = (1.0 - fx) * field[y0 + 1, x0] + fx * field[y0 + 1, x0 + 1]
     return (1.0 - fy) * top + fy * bot
@@ -150,10 +178,19 @@ def warp_image(src: RasterImage, flow: FlowField) -> RasterImage:
 
 
 def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
-    """Bilinearly resample a flow field onto a new lattice."""
+    """Bilinearly resample a flow field onto a new lattice.
+
+    The target lattice is separable, so this interpolates along x once per
+    source row, then along y: every output element gets the products and
+    sums `_bilinear` would give it at that lattice point.
+    """
     if height < 2 or width < 2:
         raise InvalidArgumentError("target size must be at least 2x2")
-    target = normalized_lattice(height, width)
-    px = (target[..., 0] + 1.0) * 0.5 * (flow.width - 1)
-    py = (target[..., 1] + 1.0) * 0.5 * (flow.height - 1)
-    return FlowField(_bilinear(flow.map, px, py))
+    x, y = lattice_axes(height, width)
+    x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width)
+    y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height)
+    m = flow.map
+    fx = fx[:, None]
+    rows = (1.0 - fx) * m[:, x0] + fx * m[:, x0 + 1]  # (H_src, width, 2)
+    fy = fy[:, None, None]
+    return FlowField((1.0 - fy) * rows[y0] + fy * rows[y0 + 1])

@@ -37,7 +37,10 @@ def _u_of_rsq(rsq):
     U(0) = 0. Works elementwise on any shape."""
     rsq = np.asarray(rsq, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rsq > 0.0, rsq * np.log(rsq), 0.0)
+        u = np.log(rsq, out=np.empty_like(rsq))  # an array even when 0-d
+        u *= rsq
+    u[rsq == 0.0] = 0.0
+    return u
 
 
 def rbf_u(r):
@@ -49,19 +52,26 @@ def rbf_u(r):
     return float(out) if out.ndim == 0 else out
 
 
-def normalized_lattice(height: int, width: int) -> np.ndarray:
-    """(H, W, 2) grid of normalized pixel-center coordinates.
-
-    Element (r, c) is (x_c, y_r) with x_c = -1 + 2c/(W-1), so corners map
-    to the corners of [-1, 1]^2 exactly.
-    """
+def lattice_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column coordinates x (W,) and row coordinates y (H,) of the
+    normalized lattice: x_c = -1 + 2c/(W-1), so corners map to the
+    corners of [-1, 1]^2 exactly."""
     height = int(height)
     width = int(width)
     if height < 2 or width < 2:
         raise InvalidArgumentError("lattice needs height and width >= 2")
     x = -1.0 + 2.0 * np.arange(width, dtype=np.float64) / (width - 1)
     y = -1.0 + 2.0 * np.arange(height, dtype=np.float64) / (height - 1)
-    out = np.empty((height, width, 2), dtype=np.float64)
+    return x, y
+
+
+def normalized_lattice(height: int, width: int) -> np.ndarray:
+    """(H, W, 2) grid of normalized pixel-center coordinates.
+
+    Element (r, c) is (x_c, y_r) of `lattice_axes`.
+    """
+    x, y = lattice_axes(height, width)
+    out = np.empty((y.size, x.size, 2), dtype=np.float64)
     out[..., 0] = x[None, :]
     out[..., 1] = y[:, None]
     return out

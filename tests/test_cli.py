@@ -1,4 +1,5 @@
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,6 +230,24 @@ class TestWarp:
         )
         assert code == 0
         assert parse_pnm(out.read_bytes()).height == 9
+
+    @pytest.mark.parametrize("softness", ["1e-310", "1e-7", "inf", "nan"])
+    def test_bad_softness_writes_nothing(self, tmp_path, rng, capsys, softness):
+        _, src = self.write_image(tmp_path, rng, 9, 9)
+        tpath = tmp_path / "a.mdtp"
+        formats.write_transform(tpath, shift_transform(-0.25))
+        out, mask, flow = (tmp_path / n for n in ("out.ppm", "m.pgm", "f.mdfl"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["warp", "--image", str(src), "--transform", str(tpath),
+                 "--out", str(out), "--mask", str(mask), "--flow-out", str(flow),
+                 "--softness", softness, "--background"]
+            )
+        assert code == 2
+        assert not caught
+        assert "softness must be finite and >=" in capsys.readouterr().err
+        assert not out.exists() and not mask.exists() and not flow.exists()
 
 
 class TestSynthData:
@@ -517,6 +536,7 @@ NOT_UTF8 = b"\xff\xfe"  # a UTF-16 byte-order mark is not valid UTF-8
     "cfg,extra,pairs,code",
     [
         (with_key(RENDER_CFG, "softness", "inf"), [], None, 3),
+        (with_key(RENDER_CFG, "softness", "1e-310"), [], None, 3),
         (with_key(RENDER_CFG, "gamma", "nan"), [], None, 3),
         (with_key(RENDER_CFG, "lr", "inf"), [], None, 3),
         (with_key(RENDER_CFG, "lambda_vel", "inf"), [], None, 3),
@@ -529,7 +549,7 @@ NOT_UTF8 = b"\xff\xfe"  # a UTF-16 byte-order mark is not valid UTF-8
         (RENDER_CFG, ["--frames", str(2**32)], None, 2),
         (None, [], NOT_UTF8 + formats.PAIRS_HEADER.encode(), 3),
     ],
-    ids=["softness_inf", "gamma_nan", "lr_inf", "lambda_vel_inf", "sigma_b_inf",
+    ids=["softness_inf", "softness_1e-310", "gamma_nan", "lr_inf", "lambda_vel_inf", "sigma_b_inf",
          "amp_inf", "config_not_utf8", "seconds_nan", "seconds_inf",
          "seconds_1e300", "frames_over_u32", "pairs_not_utf8"],
 )
@@ -557,7 +577,10 @@ def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
                 "--seed-motion", str(tmp_path / "s.mdsq"),
                 "--out", str(out), "--scores", str(scores),
                 "--render-src", str(src), "--render-dir", str(frames), *extra]
-    assert cli.main(argv) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == code
+    assert not caught
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() and not scores.exists() and not frames.exists()
 

@@ -90,6 +90,8 @@ class TestValidation:
             ("p = 0", "p must"),
             ("gap = -1", "gap"),
             ("softness = 0", "softness"),
+            ("softness = 1e-7", "softness must be >= 1e-06"),
+            ("softness = 1e-310", "softness must be >= 1e-06"),
             ("sigma_b = 0", "sigma_b"),
             ("lr = 0", "lr"),
             ("embed = 3", "embed"),

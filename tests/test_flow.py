@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mdgesture.errors import FormatError, InvalidArgumentError
 from mdgesture.flow import (
     FlowField,
+    _bilinear,
     combine_flow,
     deform_grids,
     identity_flow,
@@ -189,6 +192,73 @@ class TestCombine:
         with pytest.raises(InvalidArgumentError):
             combine_flow([g1, g2], [t.controls_d, t.controls_d])
 
+    @pytest.mark.parametrize("softness", [0.0, -0.1, 1e-310, 1e-7, np.inf, np.nan])
+    def test_bad_softness_rejected_before_arithmetic(self, softness):
+        t = identity_transform()
+        grids = deform_grids([t], 8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="finite and >="):
+                combine_flow(grids, [t.controls_d], softness)
+
+    def test_smallest_softness_accepted(self):
+        t = identity_transform()
+        grids = deform_grids([t, t], 8, 8)
+        sets = [t.controls_d, t.controls_d + 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flow = combine_flow(grids, sets, 1e-6, background=True)
+        assert np.array_equal(flow.map, grids[0])
+
+    @pytest.mark.parametrize("bad", [np.zeros((0, 2)), np.zeros((3, 3)),
+                                     np.array([[0.0, np.nan]])])
+    def test_bad_control_set_rejected(self, bad):
+        t = identity_transform()
+        grids = deform_grids([t, t], 8, 8)
+        with pytest.raises(InvalidArgumentError):
+            combine_flow(grids, [t.controls_d, bad])
+
+
+def reference_combine(grids, control_sets, softness, background):
+    """The blend written out per set on the full lattice: distance to
+    every anchor, min, sqrt, softmax, then a sequential weighted sum."""
+    h, w = grids[0].shape[:2]
+    q = normalized_lattice(h, w)
+    dists = []
+    for c in control_sets:
+        diff = q[:, :, None, :] - c[None, None, :, :]
+        dists.append(np.sqrt(np.min(np.sum(diff * diff, axis=3), axis=2)))
+    stack = list(grids)
+    if background:
+        dists.append(np.max(np.stack(dists), axis=0))
+        stack.append(q)
+    logits = np.stack([-d / softness for d in dists])
+    logits -= logits.max(axis=0, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=0, keepdims=True)
+    out = np.zeros((h, w, 2))
+    for k, g in enumerate(stack):
+        out += weights[k][:, :, None] * g
+    return out
+
+
+class TestCombineReference:
+    @pytest.mark.parametrize("shape", [(2, 2), (17, 30), (64, 64)])
+    @pytest.mark.parametrize("softness", [0.01, 0.1, 3.0])
+    @pytest.mark.parametrize("background", [False, True])
+    def test_bit_identical_to_reference(self, rng, shape, softness, background):
+        h, w = shape
+        # ragged sets; the first holds an anchor exactly on a lattice
+        # point, the last reaches outside [-1, 1]^2
+        sets = [rng.uniform(-1.0, 1.0, size=(n, 2)) for n in (1, 3, 7)]
+        sets[0][0] = normalized_lattice(h, w)[h // 2, w - 1]
+        sets[2][:2] = [[-1.4, 0.3], [1.2, 1.7]]
+        grids = [normalized_lattice(h, w) + rng.normal(0.0, 0.1, size=(h, w, 2))
+                 for _ in sets]
+        flow = combine_flow(grids, sets, softness, background=background)
+        expect = reference_combine(grids, sets, softness, background)
+        assert np.array_equal(flow.map, expect)
+
 
 class TestMasks:
     def test_identity_all_valid(self):
@@ -221,3 +291,19 @@ class TestUpsample:
         up = upsample_flow(base, 21, 13)
         expect = normalized_lattice(21, 13) + np.array([0.05, -0.03])
         assert np.max(np.abs(up.map - expect)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "src_shape,dst_shape",
+        [((64, 64), (160, 160)), ((64, 64), (40, 40)), ((9, 13), (21, 7)),
+         ((2, 2), (5, 6))],
+        ids=["up_64_160", "down_64_40", "non_square_9x13_21x7", "from_2x2"],
+    )
+    def test_bit_identical_to_pointwise_bilinear(self, rng, src_shape, dst_shape):
+        h, w = src_shape
+        flow = FlowField(normalized_lattice(h, w)
+                         + rng.normal(0.0, 0.2, size=(h, w, 2)))
+        target = normalized_lattice(*dst_shape)
+        px = (target[..., 0] + 1.0) * 0.5 * (w - 1)
+        py = (target[..., 1] + 1.0) * 0.5 * (h - 1)
+        up = upsample_flow(flow, *dst_shape)
+        assert np.array_equal(up.map, _bilinear(flow.map, px, py))
