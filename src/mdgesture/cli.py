@@ -55,7 +55,7 @@ from .metrics import (
 from .motion import unflatten
 from .ppm import mask_to_pgm, read_pnm_file, write_pnm_file
 from .synth import make_dataset
-from .tps import bending_energy, eval_tps, solve_tps
+from .tps import bending_energy, eval_tps, solve_tps, solve_tps_batch
 
 
 def _load_config(args) -> PipelineConfig:
@@ -202,11 +202,16 @@ def _render_source(path, cfg: PipelineConfig, n_channels: int):
 
 
 def _frame_transforms(motion, seed_vec, cfg) -> list:
-    """Every frame's k transforms, solved before any artifact is written."""
+    """Every frame's k transforms, solved one frame per batch before any
+    artifact is written."""
     seed_pts = unflatten(seed_vec[None, :], cfg.k, cfg.n)[0]
-    all_pts = unflatten(motion, cfg.k, cfg.n)
-    return [[solve_tps(seed_pts[k], pts[k]) for k in range(cfg.k)]
-            for pts in all_pts]
+    frames = []
+    for i, pts in enumerate(unflatten(motion, cfg.k, cfg.n)):
+        try:
+            frames.append(solve_tps_batch(seed_pts, pts))
+        except SingularSystemError as e:
+            raise SingularSystemError(f"frame {i}, transform {e.index}: {e}") from e
+    return frames
 
 
 def _render_frames(frame_transforms, cfg, src_img, out_dir):

@@ -15,7 +15,14 @@ class InvalidArgumentError(ToolkitError, ValueError):
 
 
 class SingularSystemError(ToolkitError):
-    """A linear system could not be solved to the required residual."""
+    """A linear system could not be solved to the required residual.
+
+    `index` is the failing system's position in a batch, or None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class FormatError(ToolkitError):

@@ -133,10 +133,12 @@ def combine_flow(grids, control_sets, softness: float = 0.1,
     weights = np.exp(logits)
     weights /= weights.sum(axis=0, keepdims=True)
 
-    out = np.zeros((height, width, 2))
+    # Blended plane by plane: eval_tps_grid stores its grids as x and y
+    # planes, so each product runs over contiguous memory.
+    out = np.zeros((2, height, width))
     for k, g in enumerate(stack):
-        out += weights[k][:, :, None] * g
-    return FlowField(out)
+        out += weights[k] * g.transpose(2, 0, 1)
+    return FlowField(out.transpose(1, 2, 0))
 
 
 def _taps(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,15 +155,21 @@ def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
     Exact on integer positions: a zero fraction contributes the source
     texel unchanged, so integer lookups are bit-identical to indexing.
+    Each channel is gathered from its own contiguous plane by flat index.
     """
-    h, w = field.shape[:2]
+    h, w, ch = field.shape
     x0, fx = _taps(px, w)
     y0, fy = _taps(py, h)
-    fx = fx[..., None]
-    fy = fy[..., None]
-    top = (1.0 - fx) * field[y0, x0] + fx * field[y0, x0 + 1]
-    bot = (1.0 - fx) * field[y0 + 1, x0] + fx * field[y0 + 1, x0 + 1]
-    return (1.0 - fy) * top + fy * bot
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    i = y0 * w + x0  # flat index of the top-left tap
+    out = np.empty((ch,) + i.shape)
+    for c in range(ch):
+        plane = np.ascontiguousarray(field[:, :, c]).ravel()
+        top = gx * plane.take(i) + fx * plane.take(i + 1)
+        bot = gx * plane.take(i + w) + fx * plane.take(i + w + 1)
+        out[c] = gy * top + fy * bot
+    return np.moveaxis(out, 0, -1)
 
 
 def warp_image(src: RasterImage, flow: FlowField) -> RasterImage:
@@ -190,7 +198,9 @@ def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
     x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width)
     y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height)
     m = flow.map
-    fx = fx[:, None]
-    rows = (1.0 - fx) * m[:, x0] + fx * m[:, x0 + 1]  # (H_src, width, 2)
-    fy = fy[:, None, None]
-    return FlowField((1.0 - fy) * rows[y0] + fy * rows[y0 + 1])
+    fy = fy[:, None]
+    out = np.empty((2, height, width))
+    for d in range(2):  # plane by plane, like _bilinear
+        rows = (1.0 - fx) * m[:, x0, d] + fx * m[:, x0 + 1, d]  # (H_src, width)
+        out[d] = (1.0 - fy) * rows[y0] + fy * rows[y0 + 1]
+    return FlowField(out.transpose(1, 2, 0))

@@ -32,13 +32,14 @@ from .errors import InvalidArgumentError, SingularSystemError
 RESIDUAL_LIMIT = 1e-6
 
 
-def _u_of_rsq(rsq):
+def _u_of_rsq(rsq, out=None):
     """U as a function of squared radius, with the continuous extension
-    U(0) = 0. Works elementwise on any shape."""
+    U(0) = 0. Works elementwise on any shape, into `out` when given.
+    Callers hold np.errstate(divide="ignore", invalid="ignore"): log(0)
+    is -inf and -inf * 0 is nan until the zeros are set."""
     rsq = np.asarray(rsq, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.log(rsq, out=np.empty_like(rsq))  # an array even when 0-d
-        u *= rsq
+    u = np.log(rsq, out=np.empty_like(rsq) if out is None else out)
+    u *= rsq
     u[rsq == 0.0] = 0.0
     return u
 
@@ -48,7 +49,8 @@ def rbf_u(r):
     r = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r)) or np.any(r < 0.0):
         raise InvalidArgumentError("rbf_u requires finite r >= 0")
-    out = _u_of_rsq(r * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _u_of_rsq(r * r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -77,10 +79,11 @@ def normalized_lattice(height: int, width: int) -> np.ndarray:
     return out
 
 
-def _as_points(a, name: str) -> np.ndarray:
+def _as_points(a, name: str, batch: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise InvalidArgumentError(f"{name} must be an (N, 2) array")
+    if a.ndim != 2 + batch or a.shape[-1] != 2:
+        shape = "a (B, N, 2)" if batch else "an (N, 2)"
+        raise InvalidArgumentError(f"{name} must be {shape} array")
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError(f"{name} must be finite")
     return a
@@ -126,47 +129,82 @@ def solve_tps(src, dst, regularization: float = 0.0) -> TpsTransform:
     tolerates near-duplicate anchors.
 
     Raises SingularSystemError when the system cannot be solved to a
-    residual below RESIDUAL_LIMIT (duplicate or collinear anchors).
+    residual below RESIDUAL_LIMIT (duplicate or collinear anchors, or
+    anchors so far apart that the kernel overflows). This is the
+    batch-of-one case of `solve_tps_batch`.
     """
     src = _as_points(src, "src")
     dst = _as_points(dst, "dst")
+    return _solve(src[None], dst[None], regularization)[0]
+
+
+def solve_tps_batch(src, dst, regularization: float = 0.0) -> list[TpsTransform]:
+    """Solve B independent systems at once: transform b maps dst[b] to
+    src[b], as `solve_tps(src[b], dst[b])` would, to the bit.
+
+    src, dst: (B, N, 2) arrays. A SingularSystemError carries the
+    position b of the first system that failed as its `index`.
+    """
+    src = _as_points(src, "src", batch=True)
+    dst = _as_points(dst, "dst", batch=True)
+    return _solve(src, dst, regularization)
+
+
+def _solve(src, dst, regularization: float) -> list[TpsTransform]:
+    # One stacked np.linalg.solve factors each system on its own, so every
+    # result equals the one-system solve of the same matrix.
     if src.shape != dst.shape:
         raise InvalidArgumentError("src and dst must have matching shapes")
-    n = dst.shape[0]
+    b, n = dst.shape[:2]
     if n < 3:
         raise InvalidArgumentError("TPS needs at least 3 control pairs")
     if not (np.isfinite(regularization) and regularization >= 0):
         raise InvalidArgumentError("regularization must be finite and >= 0")
 
-    diff = dst[:, None, :] - dst[None, :, :]
-    kmat = _u_of_rsq(np.sum(diff * diff, axis=2))
-    kmat = kmat + regularization * np.eye(n)
-    pmat = np.hstack([np.ones((n, 1)), dst])  # columns (1, x, y)
+    lmat = np.zeros((b, n + 3, n + 3))
+    lmat[:, :n, n] = 1.0  # P's columns (1, x, y), and P^T below K
+    lmat[:, :n, n + 1:] = dst
+    lmat[:, n, :n] = 1.0
+    lmat[:, n + 1:, :n] = dst.transpose(0, 2, 1)
+    rhs = np.zeros((b, n + 3, 2))
+    rhs[:, :n] = src
+    # Overflow becomes inf or nan, which the checks below turn into errors.
+    with np.errstate(all="ignore"):
+        dx = dst[:, :, None, 0] - dst[:, None, :, 0]
+        dy = dst[:, :, None, 1] - dst[:, None, :, 1]
+        kmat = _u_of_rsq(dx * dx + dy * dy, out=lmat[:, :n, :n])
+        diag = np.arange(n)
+        kmat[:, diag, diag] += regularization
+        bad = np.flatnonzero(~np.isfinite(kmat).all(axis=(1, 2)))
+        if bad.size:
+            raise SingularSystemError(
+                "TPS kernel overflows: anchors too far apart", index=int(bad[0])
+            )
+        try:
+            theta = np.linalg.solve(lmat, rhs)
+        except np.linalg.LinAlgError:
+            # The stacked solve fails as a whole; the first system that
+            # fails alone is the one to name.
+            for i in range(b):
+                try:
+                    np.linalg.solve(lmat[i], rhs[i])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularSystemError(
+                        f"TPS system is singular: {exc}", index=i
+                    ) from exc
+            raise
+        residual = np.abs(lmat @ theta - rhs).max(axis=(1, 2))
+    bad = np.flatnonzero(~(residual <= RESIDUAL_LIMIT))
+    if bad.size:
+        i = int(bad[0])
+        msg = (f"TPS solve residual {residual[i]:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
+               if np.isfinite(residual[i]) else "TPS solution is not finite")
+        raise SingularSystemError(msg, index=i)
 
-    lmat = np.zeros((n + 3, n + 3))
-    lmat[:n, :n] = kmat
-    lmat[:n, n:] = pmat
-    lmat[n:, :n] = pmat.T
-    rhs = np.zeros((n + 3, 2))
-    rhs[:n] = src
-
-    try:
-        theta = np.linalg.solve(lmat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"TPS system is singular: {exc}") from exc
-    residual = float(np.max(np.abs(lmat @ theta - rhs)))
-    if not np.isfinite(residual) or residual > RESIDUAL_LIMIT:
-        raise SingularSystemError(
-            f"TPS solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
-        )
-
-    weights = theta[:n]
-    coef = theta[n:]  # rows: constant, x, y; one column per output dim
-    affine = np.stack([
-        np.array([coef[1, 0], coef[2, 0], coef[0, 0]]),
-        np.array([coef[1, 1], coef[2, 1], coef[0, 1]]),
-    ])
-    return TpsTransform(affine, weights, dst.copy())
+    # theta's rows n.. hold the affine coefficients of (1, x, y)
+    affine = theta[:, [n + 1, n + 2, n]].transpose(0, 2, 1)
+    return [TpsTransform(a, w, c)
+            for a, w, c in zip(affine, theta[:, :n], dst.copy())]
 
 
 def identity_transform() -> TpsTransform:
@@ -178,24 +216,28 @@ def identity_transform() -> TpsTransform:
     )
 
 
-def _eval_points(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
-    # Shared evaluation core. The radial sum is an explicit loop over
-    # control points so the accumulation order is identical for single
-    # points and whole grids (matmul would reorder it by shape).
-    x = pts[..., 0]
-    y = pts[..., 1]
+def _eval_points(t: TpsTransform, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Shared evaluation core. x and y broadcast against each other: one
+    # element each for a point, a row x[None, :] and a column y[:, None]
+    # for the lattice, so the x and y terms are formed on the axes before
+    # they meet. The radial sum is an explicit loop over control points so
+    # the accumulation order is identical for single points and whole
+    # grids (matmul would reorder it by shape).
     a = t.affine
     out_x = a[0, 2] + a[0, 0] * x + a[0, 1] * y
     out_y = a[1, 2] + a[1, 0] * x + a[1, 1] * y
-    w = t.weights
-    c = t.controls_d
-    for i in range(c.shape[0]):
-        dx = x - c[i, 0]
-        dy = y - c[i, 1]
-        u = _u_of_rsq(dx * dx + dy * dy)
-        out_x = out_x + w[i, 0] * u
-        out_y = out_y + w[i, 1] * u
-    return np.stack([out_x, out_y], axis=-1)
+    rsq = np.empty_like(out_x)
+    u = np.empty_like(out_x)
+    wu = np.empty_like(out_x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (cx, cy), (wx, wy) in zip(t.controls_d, t.weights):
+            dx = x - cx
+            dy = y - cy
+            np.add(dx * dx, dy * dy, out=rsq)
+            _u_of_rsq(rsq, out=u)
+            out_x += np.multiply(wx, u, out=wu)
+            out_y += np.multiply(wy, u, out=wu)
+    return np.moveaxis(np.stack([out_x, out_y]), 0, -1)  # stored as two planes
 
 
 def eval_tps(t: TpsTransform, p) -> np.ndarray:
@@ -203,7 +245,7 @@ def eval_tps(t: TpsTransform, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise InvalidArgumentError("p must be a finite 2-vector")
-    return _eval_points(t, p)
+    return _eval_points(t, p[:1], p[1:])[0]
 
 
 def eval_tps_grid(t: TpsTransform, height: int, width: int) -> np.ndarray:
@@ -211,7 +253,8 @@ def eval_tps_grid(t: TpsTransform, height: int, width: int) -> np.ndarray:
 
     Bit-identical to calling eval_tps at every lattice point.
     """
-    return _eval_points(t, normalized_lattice(height, width))
+    x, y = lattice_axes(height, width)
+    return _eval_points(t, x[None, :], y[:, None])
 
 
 def bending_energy(t: TpsTransform) -> float:
@@ -219,6 +262,7 @@ def bending_energy(t: TpsTransform) -> float:
     dimensions and clamped at zero (it can only dip below by rounding)."""
     c = t.controls_d
     diff = c[:, None, :] - c[None, :, :]
-    kmat = _u_of_rsq(np.sum(diff * diff, axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kmat = _u_of_rsq(np.sum(diff * diff, axis=2))
     e = float(np.sum(t.weights * (kmat @ t.weights)))
     return max(e, 0.0)

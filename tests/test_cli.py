@@ -7,10 +7,14 @@ import pytest
 
 from mdgesture import cli, formats
 from mdgesture.audio import AudioClip, AudioCondition, write_wav
+from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import MlpDenoiser
+from mdgesture.errors import SingularSystemError
 from mdgesture.motion import MotionSequence
 from mdgesture.ppm import from_bytes_array, parse_pnm, write_pnm
-from mdgesture.tps import TpsTransform, identity_transform
+from mdgesture.tps import TpsTransform, identity_transform, solve_tps
+
+from conftest import random_pairs
 
 TOY_CFG = """\
 k = 2
@@ -523,6 +527,63 @@ class TestGenerate:
         ) == 4
         assert not out.exists() and not scores.exists() and not frames.exists()
 
+    def test_singular_frame_names_frame_and_transform(self, tmp_path, capsys):
+        # k = 2, n = 3 and zero weights: every frame equals b2, whose
+        # second group repeats an anchor, so transform 1 is singular
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RENDER_CFG.replace("k = 1\nn = 4", "k = 2\nn = 3"))
+        model = MlpDenoiser(12, 2, hidden=4, embed=4)
+        model.set_flat(np.zeros_like(model.get_flat()))
+        model.b2[...] = [-0.5, -0.5, 0.5, -0.5, 0.0, 0.5,
+                         -0.5, -0.5, -0.5, -0.5, 0.0, 0.5]
+        formats.write_denoiser(tmp_path / "model.mdnn", model)
+        formats.write_audio_features(
+            tmp_path / "f.mdaf", AudioCondition(np.zeros((6, 2)), 25)
+        )
+        seed = [[-0.5, -0.5, 0.5, -0.5, 0.0, 0.5, 0.5, 0.5, -0.5, 0.5, 0.0, -0.5]]
+        formats.write_sequence(tmp_path / "s.mdsq", MotionSequence(np.array(seed)))
+        src = tmp_path / "src.ppm"
+        src.write_bytes(write_pnm(from_bytes_array(np.zeros((4, 4, 3), np.uint8))))
+        out, frames = tmp_path / "gen.mdsq", tmp_path / "frames"
+        assert cli.main(
+            ["generate", "--config", str(cfg),
+             "--params", str(tmp_path / "model.mdnn"),
+             "--features", str(tmp_path / "f.mdaf"),
+             "--seed-motion", str(tmp_path / "s.mdsq"),
+             "--out", str(out),
+             "--render-src", str(src), "--render-dir", str(frames)]
+        ) == 4
+        assert capsys.readouterr().err.startswith("error: frame 0, transform 1: ")
+        assert not out.exists() and not frames.exists()
+
+
+def frame_motion(rng, frames, k, n):
+    """A seed frame and `frames` frames of k groups of n keypoints near it."""
+    seed = np.concatenate([random_pairs(rng, n)[1].ravel() for _ in range(k)])
+    return seed, seed + 0.05 * rng.normal(size=(frames, seed.size))
+
+
+def test_frame_transforms_match_one_at_a_time(rng):
+    seed, motion = frame_motion(rng, 4, 3, 5)
+    solved = cli._frame_transforms(motion, seed, PipelineConfig(k=3, n=5))
+    seed_pts = seed.reshape(3, 5, 2)
+    assert len(solved) == 4
+    for pts, transforms in zip(motion.reshape(4, 3, 5, 2), solved):
+        assert len(transforms) == 3
+        for k, t in enumerate(transforms):
+            one = solve_tps(seed_pts[k], pts[k])
+            assert np.array_equal(t.weights, one.weights)
+            assert np.array_equal(t.affine, one.affine)
+            assert np.array_equal(t.controls_d, one.controls_d)
+
+
+def test_singular_frame_is_named(rng):
+    seed, motion = frame_motion(rng, 4, 3, 4)
+    groups = motion.reshape(4, 3, 4, 2)
+    groups[2, 1, 3] = groups[2, 1, 0]  # frame 2, transform 1: duplicate anchor
+    with pytest.raises(SingularSystemError, match=r"^frame 2, transform 1: "):
+        cli._frame_transforms(motion, seed, PipelineConfig(k=3, n=4))
+
 
 def with_key(cfg_text: str, key: str, value: str) -> str:
     lines = [ln for ln in cfg_text.splitlines() if ln.split(" = ")[0] != key]
@@ -530,6 +591,11 @@ def with_key(cfg_text: str, key: str, value: str) -> str:
 
 
 NOT_UTF8 = b"\xff\xfe"  # a UTF-16 byte-order mark is not valid UTF-8
+# finite destinations whose squared distances overflow the TPS kernel
+HUGE_PAIRS = formats.pairs_to_text(
+    np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]]),
+    np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [-1e200, -1e200]]),
+).encode()
 
 
 @pytest.mark.parametrize(
@@ -548,10 +614,11 @@ NOT_UTF8 = b"\xff\xfe"  # a UTF-16 byte-order mark is not valid UTF-8
         (RENDER_CFG, ["--seconds", "1e300"], None, 2),
         (RENDER_CFG, ["--frames", str(2**32)], None, 2),
         (None, [], NOT_UTF8 + formats.PAIRS_HEADER.encode(), 3),
+        (None, [], HUGE_PAIRS, 4),
     ],
     ids=["softness_inf", "softness_1e-310", "gamma_nan", "lr_inf", "lambda_vel_inf", "sigma_b_inf",
          "amp_inf", "config_not_utf8", "seconds_nan", "seconds_inf",
-         "seconds_1e300", "frames_over_u32", "pairs_not_utf8"],
+         "seconds_1e300", "frames_over_u32", "pairs_not_utf8", "pairs_near_1e200"],
 )
 def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
     """Each input once ended in a traceback or left artifacts behind."""

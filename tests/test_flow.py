@@ -127,6 +127,67 @@ class TestWarp:
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+def reference_warp(img, flow):
+    """The warp with four two-array fancy-index gathers on the interleaved
+    (H, W, C) image, as it was before planar gathers."""
+    data = img.data
+    h, w = data.shape[:2]
+
+    def taps(p, n):
+        p = np.clip(p, 0.0, n - 1.0)
+        i0 = np.minimum(np.floor(p), n - 2).astype(np.int64)
+        return i0, p - i0
+
+    x0, fx = taps((flow.map[..., 0] + 1.0) * 0.5 * (w - 1), w)
+    y0, fy = taps((flow.map[..., 1] + 1.0) * 0.5 * (h - 1), h)
+    fx = fx[..., None]
+    fy = fy[..., None]
+    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x0 + 1]
+    bot = (1.0 - fx) * data[y0 + 1, x0] + fx * data[y0 + 1, x0 + 1]
+    out = np.clip((1.0 - fy) * top + fy * bot, 0.0, 1.0)
+    out[~flow.valid_mask] = 0.0
+    return out
+
+
+def mixed_sample_points(rng, h, w, src_h, src_w):
+    """(h, w, 2) sample points of four kinds, each on about a quarter of
+    the pixels: integer source pixels, fractional points, points on an
+    edge (one coordinate exactly -1 or 1) and occluded points just or far
+    outside [-1, 1]^2. Returns the points and each pixel's kind 0-3."""
+    kind = rng.permutation(np.arange(h * w) % 4).reshape(h, w)
+    integer = np.stack([-1.0 + 2.0 * rng.integers(0, src_w, size=(h, w)) / (src_w - 1),
+                        -1.0 + 2.0 * rng.integers(0, src_h, size=(h, w)) / (src_h - 1)],
+                       axis=-1)
+    frac = rng.uniform(-1.0, 1.0, size=(h, w, 2))
+    edge = frac.copy()
+    edge[..., 0] = rng.choice([-1.0, 1.0], size=(h, w))
+    occluded = frac.copy()
+    occluded[..., 1] = (rng.choice([-1.0, 1.0], size=(h, w))
+                        * rng.uniform(np.nextafter(1.0, 2.0), 1.5, size=(h, w)))
+    return np.choose(kind[..., None], [integer, frac, edge, occluded]), kind
+
+
+class TestWarpReference:
+    @pytest.mark.parametrize("channels", [3, 1], ids=["rgb", "gray"])
+    @pytest.mark.parametrize("shape", [(2, 2), (9, 13), (160, 97)],
+                             ids=["2x2", "9x13", "160x97"])
+    def test_bit_identical_to_interleaved_gathers(self, rng, shape, channels):
+        h, w = shape
+        img = random_image(rng, h, w, ch=channels)
+        pts, kind = mixed_sample_points(rng, h, w, h, w)
+        flow = FlowField(pts)
+        assert not flow.valid_mask[kind == 3].any()
+        assert flow.valid_mask[kind != 3].all()
+        out = warp_image(img, flow)
+        assert out.data.shape == (h, w, channels)
+        assert np.array_equal(out.data, reference_warp(img, flow))
+
+    def test_output_lattice_differs_from_source(self, rng):
+        img = random_image(rng, 9, 13)
+        flow = FlowField(mixed_sample_points(rng, 5, 21, 9, 13)[0])
+        assert np.array_equal(warp_image(img, flow).data, reference_warp(img, flow))
+
+
 class TestCombine:
     def test_single_grid_passthrough(self):
         t = shifted_transform(0.1, -0.2)

@@ -6,6 +6,7 @@ import pytest
 from mdgesture.errors import InvalidArgumentError, SingularSystemError
 from mdgesture.rng import generator
 from mdgesture.tps import (
+    TpsTransform,
     bending_energy,
     eval_tps,
     eval_tps_grid,
@@ -13,6 +14,7 @@ from mdgesture.tps import (
     normalized_lattice,
     rbf_u,
     solve_tps,
+    solve_tps_batch,
 )
 
 from conftest import random_pairs
@@ -31,6 +33,27 @@ def oracle_eval(t, p):
         ox += wx * u
         oy += wy * u
     return np.array([ox, oy])
+
+
+def reference_solve(src, dst, regularization):
+    """One system solved on its own, as (weights, affine), with the
+    operations of the one-system solver that predates stacked solves."""
+    n = dst.shape[0]
+    diff = dst[:, None, :] - dst[None, :, :]
+    rsq = np.sum(diff * diff, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kmat = np.log(rsq) * rsq
+    kmat[rsq == 0.0] = 0.0
+    kmat = kmat + regularization * np.eye(n)
+    lmat = np.zeros((n + 3, n + 3))
+    lmat[:n, :n] = kmat
+    lmat[:n, n:] = np.hstack([np.ones((n, 1)), dst])
+    lmat[n:, :n] = lmat[:n, n:].T
+    rhs = np.zeros((n + 3, 2))
+    rhs[:n] = src
+    theta = np.linalg.solve(lmat, rhs)
+    coef = theta[n:]  # rows: constant, x, y
+    return theta[:n], np.array([coef[[1, 2, 0], 0], coef[[1, 2, 0], 1]])
 
 
 def square_points():
@@ -114,6 +137,58 @@ class TestSolve:
         assert np.all(np.isfinite(t.weights))
 
 
+REGULARIZATIONS = pytest.mark.parametrize("reg", [0.0, 1e-3, 0.5])
+
+
+class TestSolveBitIdentity:
+    @REGULARIZATIONS
+    def test_one_system_matches_reference(self, rng, reg):
+        for n in (3, 5, 8):
+            src, dst = random_pairs(rng, n)
+            t = solve_tps(src, dst, regularization=reg)
+            weights, affine = reference_solve(src, dst, reg)
+            assert np.array_equal(t.weights, weights)
+            assert np.array_equal(t.affine, affine)
+            assert np.array_equal(t.controls_d, dst)
+
+    @REGULARIZATIONS
+    def test_batch_matches_one_at_a_time(self, rng, reg):
+        pairs = [random_pairs(rng, 5) for _ in range(7)]
+        src = np.stack([s for s, _ in pairs])
+        dst = np.stack([d for _, d in pairs])
+        batch = solve_tps_batch(src, dst, regularization=reg)
+        assert len(batch) == 7
+        for b, t in enumerate(batch):
+            one = solve_tps(src[b], dst[b], regularization=reg)
+            assert np.array_equal(t.weights, one.weights)
+            assert np.array_equal(t.affine, one.affine)
+            assert np.array_equal(t.controls_d, one.controls_d)
+
+    def test_batch_names_the_singular_system(self, rng):
+        src, dst = random_pairs(rng, 4)
+        bad = dst.copy()
+        bad[1] = bad[0]  # duplicate anchor
+        with pytest.raises(SingularSystemError) as err:
+            solve_tps_batch(np.stack([src] * 3), np.stack([dst, dst, bad]))
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize(
+        "src,dst,match",
+        [(square_points(), 1e200 * square_points(), "kernel overflows"),
+         (1.7e308 * np.sign(square_points()), square_points(), "solution is not finite")],
+        ids=["dst_near_1e200", "src_near_max_float"],
+    )
+    def test_overflow_is_singular_without_warnings(self, src, dst, match):
+        # the suite turns any RuntimeWarning into an error
+        with pytest.raises(SingularSystemError, match=match):
+            solve_tps(src, dst)
+
+    def test_batch_rejects_unbatched_points(self):
+        pts = square_points()
+        with pytest.raises(InvalidArgumentError, match=r"\(B, N, 2\)"):
+            solve_tps_batch(pts, pts)
+
+
 class TestEval:
     def test_identity_point(self):
         t = identity_transform()
@@ -145,6 +220,25 @@ class TestEval:
             for c in range(8):
                 p = eval_tps(t, lattice[r, c])
                 assert grid[r, c, 0] == p[0] and grid[r, c, 1] == p[1]
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["given", "solved"])
+    def test_grid_bit_identical_on_non_square_lattice(self, rng, solved):
+        # on 7 x 11 the origin is lattice point (3, 5): the first anchor
+        # sits on it (rsq == 0); the second lies outside [-1, 1]^2
+        controls = np.array(
+            [[0.0, 0.0], [1.4, -1.3], [-0.6, 0.3], [0.5, 0.7], [-0.9, -0.8]]
+        )
+        if solved:
+            t = solve_tps(controls + 0.1 * rng.normal(size=controls.shape), controls)
+        else:
+            t = TpsTransform(rng.normal(size=(2, 3)), rng.normal(size=(5, 2)), controls)
+        lattice = normalized_lattice(7, 11)
+        assert lattice[3, 5].tolist() == [0.0, 0.0]
+        grid = eval_tps_grid(t, 7, 11)
+        assert grid.shape == (7, 11, 2)
+        expect = np.array([[eval_tps(t, lattice[r, c]) for c in range(11)]
+                           for r in range(7)])
+        assert np.array_equal(grid, expect)
 
     def test_grid_rejects_degenerate_sizes(self):
         t = identity_transform()
