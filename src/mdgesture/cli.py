@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     FormatError,
     InvalidArgumentError,
+    NumericsError,
     SingularSystemError,
 )
 from .fileio import read_text, write_atomic
@@ -520,7 +521,7 @@ def main(argv=None) -> int:
     except (FormatError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except SingularSystemError as e:
+    except NumericsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except OSError as e:

@@ -11,7 +11,12 @@ audio-masked predictions.
 The reference denoiser is a two-layer tanh MLP over per-frame inputs
 (noisy frame, audio frame, seed motion, sinusoidal step embedding) with
 hand-written gradients, small enough that training and finite-difference
-verification run in seconds.
+verification run in seconds. Its first layer is applied block by block
+(one product per column block of w1; the seed and embedding blocks give
+one row shared by every frame), so no per-frame input is ever built.
+The null condition's audio is zero, so the two guidance branches share
+all but the audio term; and the output layer is affine, so guidance
+blends the two hidden activations and applies the output layer once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericsError
 from .motion import DEFAULT_FPS, MotionSequence
 from .rng import generator
 
@@ -157,19 +162,24 @@ class Denoiser:
     def predict(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
         raise NotImplementedError
 
+    def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
+        """Classifier-free guidance:
+        gamma * predict(cond) + (1 - gamma) * predict(null cond).
+
+        gamma = 1 short-circuits to the conditional branch (identical by
+        algebra, half the work). A subclass may compute the same
+        extrapolation more cheaply."""
+        if gamma == 1.0:
+            return self.predict(x_t, t, cond)
+        return gamma * self.predict(x_t, t, cond) + (1.0 - gamma) * self.predict(
+            x_t, t, cond.masked
+        )
+
 
 def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
               gamma: float = 1.0) -> np.ndarray:
-    """Classifier-free guidance:
-    gamma * predict(cond) + (1 - gamma) * predict(null cond).
-
-    gamma = 1 short-circuits to the conditional branch (identical by
-    algebra, half the work)."""
-    if gamma == 1.0:
-        return d.predict(x_t, t, cond)
-    return gamma * d.predict(x_t, t, cond) + (1.0 - gamma) * d.predict(
-        x_t, t, cond.masked
-    )
+    """The guided x0 prediction of one reverse step: d.guided."""
+    return d.guided(x_t, t, cond, gamma)
 
 
 def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
@@ -268,6 +278,9 @@ class MlpDenoiser(Denoiser):
         self._flat = np.zeros(sum(math.prod(s) for s in self._shapes.values()))
         vars(self).update(_views(self._flat, self._shapes))  # w1, b1, w2, b2
         g = generator(seed, 0xD1FF)
+        c, c_a = self.n_channels, self.n_audio
+        self._blocks = (slice(0, c), slice(c, c + c_a),  # w1's column blocks
+                        slice(c + c_a, 2 * c + c_a), slice(2 * c + c_a, None))
         lim1 = math.sqrt(6.0 / (self.w1.shape[1] + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
         self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
@@ -284,37 +297,50 @@ class MlpDenoiser(Denoiser):
         w1 = (hidden, cls.input_width(c, c_a, embed))
         return dict(zip(cls.PARAM_NAMES, [w1, (hidden,), (c, hidden), (c,)]))
 
-    def _inputs(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
+    def _preactivation(self, x_t, t: int, cond: Condition):
+        """Check shapes once; return the first layer's pre-activation in
+        two parts and the step embedding.
+
+        w1's column blocks are [x_t | audio | seed | embedding]. The first
+        part, x_t w1x^T + (w1s seed + w1e emb + b1), is the whole
+        pre-activation under the null condition, whose audio is zero; the
+        second, audio w1a^T, is the audio term the condition adds."""
         x_t = np.asarray(x_t, dtype=np.float64)
-        m = x_t.shape[0]
         if x_t.ndim != 2 or x_t.shape[1] != self.n_channels:
             raise InvalidArgumentError("x_t must be (M, C)")
-        if cond.audio.shape != (m, self.n_audio):
+        if cond.audio.shape != (x_t.shape[0], self.n_audio):
             raise InvalidArgumentError("audio must be (M, C_a)")
         if cond.seed_motion.shape != (self.n_channels,):
             raise InvalidArgumentError("seed motion must be a C-vector")
         emb = time_embedding(t, self.embed)
-        return np.concatenate(
-            [x_t, cond.audio, np.tile(cond.seed_motion, (m, 1)),
-             np.tile(emb, (m, 1))],
-            axis=1,
-        )
-
-    def _forward(self, z: np.ndarray):
-        h = np.tanh(z @ self.w1.T + self.b1)
-        return h @ self.w2.T + self.b2, h
+        xs, au, sd, em = self._blocks
+        w1 = self.w1
+        pre = x_t @ w1[:, xs].T
+        pre += w1[:, sd] @ cond.seed_motion + w1[:, em] @ emb + self.b1
+        return pre, cond.audio @ w1[:, au].T, emb
 
     def predict(self, x_t, t: int, cond: Condition) -> np.ndarray:
-        y, _ = self._forward(self._inputs(x_t, t, cond))
-        return y
+        pre, audio_pre, _ = self._preactivation(x_t, t, cond)
+        return np.tanh(pre + audio_pre) @ self.w2.T + self.b2
+
+    def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
+        """Denoiser.guided at the cost of one forward pass and one extra
+        tanh: the output layer is affine, so the branches' hidden
+        activations are blended and w2 is applied once."""
+        if gamma == 1.0:
+            return super().guided(x_t, t, cond, gamma)
+        pre, audio_pre, _ = self._preactivation(x_t, t, cond)
+        h = gamma * np.tanh(pre + audio_pre) + (1.0 - gamma) * np.tanh(pre)
+        return h @ self.w2.T + self.b2
 
     def loss_gradients(self, x0, x_t, t: int, cond: Condition,
                        lambda_vel: float = 1.0, lambda_acc: float = 1.0):
         """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
         by PARAM_NAMES. Returns the grads alone: the loss is not computed."""
         x0 = np.asarray(x0, dtype=np.float64)
-        z = self._inputs(x_t, t, cond)
-        y, h = self._forward(z)
+        pre, audio_pre, emb = self._preactivation(x_t, t, cond)
+        h = np.tanh(pre + audio_pre)
+        y = h @ self.w2.T + self.b2
         m = x0.shape[0]
         if x0.shape != y.shape:
             raise InvalidArgumentError("x0 must match x_t's (M, C)")
@@ -336,13 +362,14 @@ class MlpDenoiser(Denoiser):
             g += (lambda_acc * 2.0 / (m - 2)) * ga
         dh = g @ self.w2
         dpre = dh * (1.0 - h * h)
-        grads = {
-            "w2": g.T @ h,
-            "b2": g.sum(axis=0),
-            "w1": dpre.T @ z,
-            "b1": dpre.sum(axis=0),
-        }
-        return grads
+        db1 = dpre.sum(axis=0)
+        xs, au, sd, em = self._blocks
+        dw1 = np.empty_like(self.w1)
+        dw1[:, xs] = dpre.T @ x_t
+        dw1[:, au] = dpre.T @ cond.audio
+        dw1[:, sd] = np.outer(db1, cond.seed_motion)
+        dw1[:, em] = np.outer(db1, emb)
+        return {"w2": g.T @ h, "b2": g.sum(axis=0), "w1": dw1, "b1": db1}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
@@ -398,7 +425,9 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     sequence, a uniform step t, fresh noise, and masks the audio with
     probability cfg.mask_prob. Returns (model, history) where history is
     [(step, probe loss)] on a fixed probe batch, row 0 before training,
-    then every PROBE_EVERY steps and after the last.
+    then every PROBE_EVERY steps and after the last. A diverging run
+    raises NumericsError at the first step whose arithmetic overflows or
+    turns non-finite, instead of training on NaNs.
     """
     dataset = list(dataset)
     if not dataset:
@@ -436,23 +465,30 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     acc = np.zeros_like(vel)
     acc_views = _views(acc, model._shapes)
     momentum = 0.9
-    for step in range(1, cfg.steps + 1):
-        idx = g.integers(0, len(dataset), size=cfg.batch)
-        acc.fill(0.0)
-        for i in idx:
-            t = int(g.integers(1, sched.n_steps + 1))
-            noise = g.standard_normal(seqs[i].shape)
-            x_t = q_sample(seqs[i], t, noise, sched)
-            cond = conds[i]
-            if g.random() < cfg.mask_prob:
-                cond = cond.masked
-            grads = model.loss_gradients(
-                seqs[i], x_t, t, cond, cfg.lambda_vel, cfg.lambda_acc
-            )
-            for name, view in acc_views.items():
-                view += grads[name]
-        vel = momentum * vel - (cfg.lr / cfg.batch) * acc
-        model._flat += vel
-        if step % PROBE_EVERY == 0 or step == cfg.steps:
-            history.append((step, probe_loss()))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, cfg.steps + 1):
+                idx = g.integers(0, len(dataset), size=cfg.batch)
+                acc.fill(0.0)
+                for i in idx:
+                    t = int(g.integers(1, sched.n_steps + 1))
+                    noise = g.standard_normal(seqs[i].shape)
+                    x_t = q_sample(seqs[i], t, noise, sched)
+                    cond = conds[i]
+                    if g.random() < cfg.mask_prob:
+                        cond = cond.masked
+                    grads = model.loss_gradients(
+                        seqs[i], x_t, t, cond, cfg.lambda_vel, cfg.lambda_acc
+                    )
+                    for name, view in acc_views.items():
+                        view += grads[name]
+                vel = momentum * vel - (cfg.lr / cfg.batch) * acc
+                model._flat += vel
+                if step % PROBE_EVERY == 0 or step == cfg.steps:
+                    history.append((step, probe_loss()))
+    except FloatingPointError as e:
+        raise NumericsError(
+            f"training diverged at step {step} ({e}); try a lower lr "
+            f"than {cfg.lr:g}"
+        ) from e
     return model, history

@@ -14,7 +14,11 @@ class InvalidArgumentError(ToolkitError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class SingularSystemError(ToolkitError):
+class NumericsError(ToolkitError):
+    """A computation overflowed, diverged or could not be solved."""
+
+
+class SingularSystemError(NumericsError):
     """A linear system could not be solved to the required residual.
 
     `index` is the failing system's position in a batch, or None.

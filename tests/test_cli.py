@@ -351,6 +351,29 @@ class TestTrain:
              "--out", str(tmp_path / "m")]
         ) == 2
 
+    def test_divergence_is_numerics_error(self, tmp_path, capsys):
+        # lr = 1e6 overflows float64 at step 20, long after the weights
+        # stopped fitting the float32 model file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nn = 2\nm = 20\nT = 10\nsequences = 4\n"
+                       "batch = 4\nsteps = 20\nlr = 1e6\n")
+        data = tmp_path / "data"
+        assert cli.main(
+            ["synth-data", "--config", str(cfg), "--out-dir", str(data)]
+        ) == 0
+        out, loss = tmp_path / "m.mdnn", tmp_path / "loss.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out), "--loss-csv", str(loss)]
+            )
+        assert code == 4
+        assert not caught
+        err = capsys.readouterr().err
+        assert "diverged at step 20" in err and "lower lr" in err
+        assert not out.exists() and not loss.exists()
+
 
 class TestGenerate:
     def generate(self, pipeline, out_dir, extra=()):

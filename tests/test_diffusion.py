@@ -193,6 +193,19 @@ class TestGuidance:
         x = rng.normal(size=(2, 3))
         assert np.array_equal(guided_x0(d, x, 1, cond, 2.0), np.full((2, 3), 2.0))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.5])
+    def test_mlp_blend_matches_two_predictions(self, rng, gamma):
+        # MlpDenoiser blends the branches in hidden space; the result
+        # must be the output-space extrapolation up to round-off, and
+        # exactly the conditional prediction at gamma = 1
+        d = MlpDenoiser(5, 3, hidden=12, embed=4, seed=4)
+        cond = tiny_condition(7, 5)
+        x = rng.normal(size=(7, 5))
+        want = gamma * d.predict(x, 6, cond) + (1 - gamma) * d.predict(
+            x, 6, cond.masked)
+        tol = 0.0 if gamma == 1.0 else 1e-12
+        assert np.max(np.abs(guided_x0(d, x, 6, cond, gamma) - want)) <= tol
+
     def test_null_condition_built_once(self):
         cond = tiny_condition(3, 2)
         assert cond.masked is cond.masked
@@ -323,6 +336,34 @@ class TestMlpDenoiser:
         model.set_flat(theta)
         assert worst < 1e-4
 
+    def test_gradient_check_every_block(self, rng):
+        # first and last coordinate of each w1 column block
+        # [x_t | audio | seed | embedding], of b1, w2 and b2
+        c, c_a, hidden, embed = 4, 3, 6, 4
+        model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed, seed=5)
+        x0 = rng.normal(size=(6, c))
+        x_t = rng.normal(size=(6, c))
+        cond = tiny_condition(6, c, c_a)
+        grads = model.loss_gradients(x0, x_t, 5, cond)
+        edges = np.cumsum([0, c, c_a, c, embed])
+        coords = [("w1", (r, col)) for lo, hi in zip(edges[:-1], edges[1:])
+                  for r, col in ((0, lo), (hidden - 1, hi - 1))]
+        coords += [("b1", (0,)), ("b1", (hidden - 1,)), ("w2", (0, 0)),
+                   ("w2", (c - 1, hidden - 1)), ("b2", (0,)), ("b2", (c - 1,))]
+        h = 1e-6
+        for name, idx in coords:
+            param = model.parameters()[name]
+            keep = param[idx]
+            param[idx] = keep + h
+            f_hi = total_loss(x0, model.predict(x_t, 5, cond))
+            param[idx] = keep - h
+            f_lo = total_loss(x0, model.predict(x_t, 5, cond))
+            param[idx] = keep
+            fd = (f_hi - f_lo) / (2 * h)
+            g = grads[name][idx]
+            rel = abs(fd - g) / max(abs(fd), abs(g), 1e-8)
+            assert rel < 1e-4, (name, idx, g, fd)
+
     def test_mask_routes_gradients(self, rng):
         model = MlpDenoiser(4, 3, hidden=10, embed=4, seed=2)
         x0 = rng.normal(size=(5, 4))
@@ -346,8 +387,17 @@ class TestMlpDenoiser:
 
     def test_predict_shape_validation(self):
         model = MlpDenoiser(4, 3, hidden=8, embed=4)
-        with pytest.raises(InvalidArgumentError):
-            model.predict(np.zeros((5, 3)), 1, tiny_condition(5, 4))
+        bad = [
+            (np.zeros((5, 3)), tiny_condition(5, 4)),  # x_t width
+            (np.zeros((5, 4)), tiny_condition(6, 4)),  # audio rows
+            (np.zeros((5, 4)), tiny_condition(5, 5)),  # seed size
+        ]
+        for x_t, cond in bad:
+            with pytest.raises(InvalidArgumentError):
+                model.predict(x_t, 1, cond)
+            for gamma in (1.0, 2.0):
+                with pytest.raises(InvalidArgumentError):
+                    guided_x0(model, x_t, 1, cond, gamma)
 
 
 class TestTraining:
