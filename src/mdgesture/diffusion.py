@@ -159,6 +159,13 @@ class Condition:
 class Denoiser:
     """Interface: predict the clean sequence from a noisy one."""
 
+    frame_local = False
+    """True when output row j depends only on x_t row j, audio row j, the
+    seed motion and t. The first rows of a draw are then fixed by the
+    first rows of its noise, and sample_heads draws them alone. A
+    denoiser that looks across frames (a convolution over time, attention
+    over the sequence) must leave it False."""
+
     def predict(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
         raise NotImplementedError
 
@@ -188,14 +195,52 @@ def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
 
     The motion has one frame per audio row of cond and one channel per
     entry of its seed motion."""
-    shape = (cond.audio.shape[0], cond.seed_motion.size)
-    g = generator(seed)
-    x = g.standard_normal(shape)
+    x = _reverse_chain(d, cond, sched, [generator(seed)], cond.audio.shape[0], gamma)
+    return MotionSequence(x, fps)
+
+
+def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
+                 seeds, rows: int, gamma: float = 1.0) -> list:
+    """The first `rows` frames of sample(d, cond, sched, seed, gamma) for
+    each seed, as (rows, C) arrays. d must be frame-local.
+
+    One reverse chain denoises the heads stacked into a
+    (len(seeds) * rows, C) array. Each seed's generator still draws the
+    full (M, C) normals of every step, in sample's order, and keeps the
+    first rows: a normal takes no fixed number of words from the stream,
+    so the rows after the head cannot be skipped.
+
+    The heads equal the full draws' first rows bit for bit when the BLAS
+    sums each row of a matrix product in one order whatever the row
+    count. OpenBLAS 0.3 does at the benchmark rigs' shapes (c = 8 and
+    c = 200, 80-frame segments, 5 heads of 5 rows); it switches kernels
+    for some smaller products (c = 200 with 12-frame segments), and there
+    the heads differ at round-off, about 4e-15.
+    """
+    if not d.frame_local:
+        raise InvalidArgumentError("head rows need a frame-local denoiser")
+    gens = [generator(s) for s in seeds]
+    heads = Condition(np.tile(cond.audio[:rows], (len(gens), 1)), cond.seed_motion)
+    x = _reverse_chain(d, heads, sched, gens, cond.audio.shape[0], gamma)
+    return np.split(x, len(gens))
+
+
+def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
+                   gens, m: int, gamma: float) -> np.ndarray:
+    """Denoise len(gens) blocks stacked along cond's rows down to x0;
+    block i takes the first rows of generator i's (m, C) normals."""
+    rows = cond.audio.shape[0] // len(gens)
+    shape = (m, cond.seed_motion.size)
+
+    def normals():
+        parts = [g.standard_normal(shape)[:rows] for g in gens]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    x = normals()
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
-        noise = g.standard_normal(shape) if t > 1 else None
-        x = p_step(x, t, x0h, sched, noise)
-    return MotionSequence(x, fps)
+        x = p_step(x, t, x0h, sched, normals() if t > 1 else None)
+    return x
 
 
 def _pair(x0, x0_hat):
@@ -262,6 +307,7 @@ class MlpDenoiser(Denoiser):
     """
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2")
+    frame_local = True
 
     def __init__(self, n_channels: int, n_audio: int, hidden: int = 64,
                  embed: int = 8, seed: int = 0):
@@ -427,8 +473,11 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     [(step, probe loss)] on a fixed probe batch, row 0 before training,
     then every PROBE_EVERY steps and after the last. A diverging run
     raises NumericsError at the first step whose arithmetic overflows or
-    turns non-finite, instead of training on NaNs.
+    turns non-finite, or that leaves a parameter outside the float32
+    range of the model file, instead of training on.
     """
+    from .formats import F32_MAX  # formats imports this module
+
     dataset = list(dataset)
     if not dataset:
         raise InvalidArgumentError("training dataset is empty")
@@ -484,6 +533,8 @@ def train_denoiser(dataset, cfg: PipelineConfig):
                         view += grads[name]
                 vel = momentum * vel - (cfg.lr / cfg.batch) * acc
                 model._flat += vel
+                if not np.all(np.abs(model._flat) <= F32_MAX):
+                    raise FloatingPointError("a parameter left float32 range")
                 if step % PROBE_EVERY == 0 or step == cfg.steps:
                     history.append((step, probe_loss()))
     except FloatingPointError as e:

@@ -41,6 +41,7 @@ MAGIC_DENOISER = b"MDNN"
 
 PAIRS_HEADER = "src_x,src_y,dst_x,dst_y"
 MAX_U32 = 2**32 - 1  # the largest count a header field holds
+F32_MAX = float(np.finfo("<f4").max)  # the largest magnitude a float32 field holds
 
 
 class _Cursor:
@@ -78,11 +79,10 @@ class _Cursor:
 
 
 def _f32_bytes(values, what: str) -> bytes:
-    with np.errstate(over="ignore"):
-        arr = np.ascontiguousarray(values, dtype="<f4")
-    if not np.all(np.isfinite(arr)):
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.abs(arr) <= F32_MAX):  # NaN fails the test too
         raise InvalidArgumentError(f"{what} does not fit float32")
-    return arr.tobytes()
+    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
 def _u32(value: int) -> bytes:

@@ -1,9 +1,12 @@
 """Arbitrary-length motion via segment-wise sampling and selection.
 
 Each segment after the first is drawn several times with derived seeds;
-candidates are scored against the previous segment's closing window by
-mean-position distance plus mean-velocity-direction angle, and the best
-one is kept. Junction frames are then re-filled with a natural cubic
+candidates are scored on their first WINDOW = 5 frames against the
+previous segment's closing window, by mean-position distance plus
+mean-velocity-direction angle, and the best one is kept. With a
+frame-local denoiser only those head frames of each candidate are
+sampled, in one stacked reverse chain, and only the chosen candidate is
+drawn in full. Junction frames are then re-filled with a natural cubic
 spline so stitches stay smooth.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .diffusion import Condition, make_schedule, sample
+from .diffusion import Condition, make_schedule, sample, sample_heads
 from .errors import InvalidArgumentError
 from .motion import MotionSequence, _frames_of, as_points, spline_fill
 
@@ -107,10 +110,15 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     Segment 0 is one draw on the root seed cfg.seed, conditioned on
     seed_motion, so a single-segment call reproduces a plain sample() run
     bit for bit; a shorter request trims it. Each later segment is
-    conditioned on the previous one's last frame, drawn cfg.p times with
-    seeds (cfg.seed, segment, candidate), and select_best keeps the best
-    continuation. With cfg.gap > 0 every junction's gap frames are
-    replaced by a spline fit through 5 knot frames on each side; gap = 0
+    conditioned on the previous one's last frame and has cfg.p candidates
+    with seeds (cfg.seed, segment, candidate); select_best scores their
+    first WINDOW frames and keeps the best continuation. When the
+    denoiser is frame_local and cfg.p > 1, sample_heads draws only those
+    head frames and the winner alone is sampled in full. The heads are
+    the full draws' first frames (see sample_heads for the BLAS this
+    rests on), so motion and scores are those of drawing every candidate
+    in full. With cfg.gap > 0 every junction's gap frames are replaced
+    by a spline fit through 5 knot frames on each side; gap = 0
     concatenates as-is.
 
     Returns (motion, report) where report rows are
@@ -143,12 +151,17 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     start, seeds = seed_vec, [cfg.seed]
     for i in range(n_seg):
         cond_i = Condition(feats[i * m : (i + 1) * m], start)
-        draws = [sample(denoiser, cond_i, sched, seed=draw_seed,
-                        gamma=cfg.gamma, fps=fps) for draw_seed in seeds]
+        head_pass = bool(segments) and len(seeds) > 1 and denoiser.frame_local
+        if head_pass:
+            draws = sample_heads(denoiser, cond_i, sched, seeds, WINDOW, cfg.gamma)
+        else:
+            draws = [sample(denoiser, cond_i, sched, seed=draw_seed,
+                            gamma=cfg.gamma, fps=fps) for draw_seed in seeds]
         best, scores = select_best(segments[-1], draws) if segments else (0, [])
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
-        segments.append(draws[best])
-        start = draws[best].frames[-1]
+        segments.append(sample(denoiser, cond_i, sched, seed=seeds[best],
+                               gamma=cfg.gamma, fps=fps) if head_pass else draws[best])
+        start = segments[-1].frames[-1]
         seeds = [(cfg.seed, i + 1, p) for p in range(cfg.p)]
 
     full = np.vstack([s.frames for s in segments])

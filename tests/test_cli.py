@@ -352,8 +352,8 @@ class TestTrain:
         ) == 2
 
     def test_divergence_is_numerics_error(self, tmp_path, capsys):
-        # lr = 1e6 overflows float64 at step 20, long after the weights
-        # stopped fitting the float32 model file
+        # lr = 1e6 would overflow float64 at step 20; the weights stop
+        # fitting the float32 model file at step 5, where training stops
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 2\nn = 2\nm = 20\nT = 10\nsequences = 4\n"
                        "batch = 4\nsteps = 20\nlr = 1e6\n")
@@ -371,7 +371,38 @@ class TestTrain:
         assert code == 4
         assert not caught
         err = capsys.readouterr().err
-        assert "diverged at step 20" in err and "lower lr" in err
+        assert "diverged at step 5" in err and "lower lr" in err
+        assert not out.exists() and not loss.exists()
+
+    @pytest.mark.parametrize("lr, step, cause", [
+        ("1e6", 5, "a parameter left float32 range"),  # finite in float64
+        ("1e308", 1, "overflow encountered in multiply"),
+    ])
+    def test_toy_rig_divergence_names_step(self, tmp_path, capsys, lr, step, cause):
+        # the benchmark's toy rig (c=8) with a learning rate far too large
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(
+            "k = 2\nn = 2\nm = 80\nstride = 10\nT = 50\ngamma = 2\n"
+            f"p = 5\nsteps = 12\nbatch = 16\nlr = {lr}\nsequences = 20\n"
+        )
+        data = tmp_path / "data"
+        assert cli.main(
+            ["synth-data", "--config", str(cfg), "--out-dir", str(data)]
+        ) == 0
+        capsys.readouterr()
+        out, loss = tmp_path / "m.mdnn", tmp_path / "loss.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out), "--loss-csv", str(loss)]
+            )
+        assert code == 4
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"diverged at step {step} ({cause})" in err[0]
+        assert f"lower lr than {float(lr):g}" in err[0]
         assert not out.exists() and not loss.exists()
 
 

@@ -5,16 +5,25 @@ import pytest
 
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.config import PipelineConfig
-from mdgesture.diffusion import Condition, Denoiser, MlpDenoiser, make_schedule, sample
+from mdgesture.diffusion import (
+    Condition,
+    Denoiser,
+    MlpDenoiser,
+    make_schedule,
+    sample,
+    sample_heads,
+)
 from mdgesture.errors import InvalidArgumentError
 from mdgesture.longgen import (
+    FILL_KNOTS,
+    WINDOW,
     CandidateScore,
     generate_long,
     position_score,
     select_best,
     velocity_angle_score,
 )
-from mdgesture.motion import MotionSequence
+from mdgesture.motion import MotionSequence, spline_fill
 from mdgesture.rng import generator
 
 
@@ -294,3 +303,116 @@ class TestGenerateLong:
         model, cond, seed_motion = toy_setup(12, 4)
         with pytest.raises(InvalidArgumentError):
             generate_long(model, cond, seed_motion, 0, toy_cfg(12))
+
+
+def all_candidates_long(denoiser, cond_full, seed_motion, m_total, cfg):
+    """generate_long as it was before the head pass: every candidate of
+    every segment drawn in full, then scored on its first WINDOW frames."""
+    m, gap = cfg.m, cfg.gap
+    n_seg = -(-m_total // m)
+    feats = cond_full.features
+    if feats.shape[0] < n_seg * m:
+        pad = np.repeat(feats[-1:], n_seg * m - feats.shape[0], axis=0)
+        feats = np.vstack([feats, pad])
+    sched = make_schedule(cfg.t_steps, cfg.schedule)
+    segments, report = [], []
+    start, seeds = np.asarray(seed_motion, dtype=np.float64), [cfg.seed]
+    for i in range(n_seg):
+        cond_i = Condition(feats[i * m : (i + 1) * m], start)
+        draws = [sample(denoiser, cond_i, sched, seed=s, gamma=cfg.gamma,
+                        fps=cond_full.fps) for s in seeds]
+        best, scores = select_best(segments[-1], draws) if segments else (0, [])
+        report.extend((i, p, sc, p == best) for p, sc in enumerate(scores))
+        segments.append(draws[best])
+        start = draws[best].frames[-1]
+        seeds = [(cfg.seed, i + 1, p) for p in range(cfg.p)]
+    full = np.vstack([sg.frames for sg in segments])
+    if gap > 0:
+        tail_half = (gap + 1) // 2
+        for i in range(1, n_seg):
+            lo = i * m - tail_half
+            full[lo : lo + gap] = spline_fill(full[lo - FILL_KNOTS : lo],
+                                              full[lo + gap : lo + gap + FILL_KNOTS], gap)
+    return full[:m_total], report
+
+
+def report_bits(report):
+    """Report rows with each score as its exact float64 bits."""
+    return [(seg, cand, float(sc.position).hex(), float(sc.angle).hex(), sel)
+            for seg, cand, sc, sel in report]
+
+
+class FrameMixingDenoiser(Denoiser):
+    """Not frame-local: every output row sees the mean of all of x_t."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, x_t, t, cond):
+        return self.inner.predict(x_t, t, cond) + x_t.mean(axis=0)
+
+
+class TestCandidateHeads:
+    @pytest.mark.parametrize("c, hidden, embed", [(8, 64, 8), (200, 64, 8)],
+                             ids=["toy_rig", "default_rig"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_heads_are_full_draws_first_window(self, c, hidden, embed, gamma):
+        # the benchmark rigs' shapes: toy (k=2, n=2) and default (k=20, n=5),
+        # 4 audio channels and 80-frame segments
+        m, sched = 80, make_schedule(10, "cosine")
+        model = MlpDenoiser(c, 4, hidden, embed, seed=2)
+        g = generator(11)
+        cond = Condition(g.normal(size=(m, 4)), g.normal(size=c))
+        seeds = [(7, 1, p) for p in range(5)]
+        heads = sample_heads(model, cond, sched, seeds, WINDOW, gamma)
+        assert len(heads) == len(seeds)
+        for seed, head in zip(seeds, heads):
+            full = sample(model, cond, sched, seed=seed, gamma=gamma).frames
+            assert head.shape == (WINDOW, c)
+            assert np.array_equal(head, full[:WINDOW])
+
+    def test_rejects_denoiser_that_mixes_frames(self):
+        model, cond, seed_motion = toy_setup(12, 4)
+        with pytest.raises(InvalidArgumentError):
+            sample_heads(FrameMixingDenoiser(model),
+                         Condition(cond.features[:12], seed_motion), SCHED,
+                         [(0, 1, 0), (0, 1, 1)], WINDOW)
+
+    @pytest.mark.parametrize("p", [5, 1])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_generate_long_matches_all_candidates(self, p, gamma):
+        # five segments, the last one trimmed, spline-filled junctions
+        m, m_total = 12, 53
+        model, cond, seed_motion = toy_setup(m, 4, m_total=m_total)
+        cfg = PipelineConfig(k=1, n=2, m=m, t_steps=8, schedule="cosine",
+                             gamma=gamma, p=p, gap=2, seed=4)
+        out, report = generate_long(model, cond, seed_motion, m_total, cfg)
+        ref, ref_report = all_candidates_long(model, cond, seed_motion, m_total, cfg)
+        assert np.array_equal(out.frames, ref)
+        assert len(report) == 4 * p
+        assert report_bits(report) == report_bits(ref_report)
+
+    def test_generate_long_matches_all_candidates_toy_rig(self):
+        m, m_total = 80, 250
+        model = MlpDenoiser(8, 4, 64, 8, seed=3)
+        cond = synth_condition([0.4], m_total, 25, 4, seed=6)
+        seed_motion = generator(6, 77).normal(size=8)
+        cfg = PipelineConfig(k=2, n=2, m=m, t_steps=6, gamma=2.0, p=5, gap=2, seed=1)
+        out, report = generate_long(model, cond, seed_motion, m_total, cfg)
+        ref, ref_report = all_candidates_long(model, cond, seed_motion, m_total, cfg)
+        assert np.array_equal(out.frames, ref)
+        assert report_bits(report) == report_bits(ref_report)
+
+    def test_frame_mixing_denoiser_draws_every_candidate(self):
+        m, m_total = 12, 40
+        model, cond, seed_motion = toy_setup(m, 4, m_total=m_total)
+        cfg = toy_cfg(m, p=5, gap=2, seed=8)
+        mixing = FrameMixingDenoiser(model)
+        ref, ref_report = all_candidates_long(mixing, cond, seed_motion, m_total, cfg)
+        out, report = generate_long(mixing, cond, seed_motion, m_total, cfg)
+        assert np.array_equal(out.frames, ref)
+        assert report_bits(report) == report_bits(ref_report)
+        # scored on stacked heads, the same denoiser would rank other numbers
+        claims_local = type("ClaimsLocal", (FrameMixingDenoiser,), {"frame_local": True})
+        _, wrong = generate_long(claims_local(model), cond, seed_motion, m_total, cfg)
+        assert report_bits(wrong) != report_bits(ref_report)
