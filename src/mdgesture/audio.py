@@ -1,10 +1,11 @@
 """Audio ingestion and per-frame conditioning features.
 
 WAV decoding, spectral-flux onset envelopes, peak-picked beat times,
-linear feature alignment onto motion frames, and a seeded synthetic
-condition generator for tests and toy datasets. Heavy feature extractors
-(MFCC, chromagram, learned embeddings) are out of scope; precomputed
-features are ingested from the binary feature file instead.
+beat features (the onset envelope and its lags on the motion frames),
+and a seeded synthetic condition generator for tests and toy datasets.
+Heavy feature extractors (MFCC, chromagram, learned embeddings) are out
+of scope; precomputed features are ingested from the binary feature
+file instead.
 """
 
 from __future__ import annotations
@@ -225,28 +226,28 @@ def detect_beats(envelope, hop: int, rate: int, threshold_ratio: float = 1.5):
     return np.array([t for t, _ in kept])
 
 
-def align_features(features, source_fps, target_m: int, target_fps) -> np.ndarray:
-    """Linearly resample per-frame features onto a new frame grid.
-
-    Row r of the source sits at time r/source_fps; target frame m is read
-    at m/target_fps, clamped to the source's endpoints.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise InvalidArgumentError("need at least two source feature rows")
-    if not np.all(np.isfinite(f)):
-        raise InvalidArgumentError("features must be finite")
-    target_m = int(target_m)
-    if target_m < 1:
-        raise InvalidArgumentError("target frame count must be >= 1")
-    if float(source_fps) <= 0 or float(target_fps) <= 0:
-        raise InvalidArgumentError("frame rates must be positive")
-    src_t = np.arange(f.shape[0], dtype=np.float64) / float(source_fps)
-    dst_t = np.arange(target_m, dtype=np.float64) / float(target_fps)
-    out = np.empty((target_m, f.shape[1]))
-    for c in range(f.shape[1]):
-        out[:, c] = np.interp(dst_t, src_t, f[:, c])
-    return out
+def beat_features(clip: AudioClip, envelope, hop: int, beats, fps: int,
+                  channels: int) -> AudioCondition:
+    """The `beats --features` condition on ceil(duration * fps) >= 2
+    frames: channel j is the onset envelope, scaled to a peak of 1, read
+    linearly at the frame times and delayed j frames (zero before that)."""
+    env = np.asarray(envelope, dtype=np.float64).reshape(-1)
+    if hop < 1 or fps < 1 or channels < 1:
+        raise InvalidArgumentError("hop, fps and channels must be >= 1")
+    if env.size < 2:
+        raise InvalidArgumentError(
+            f"--hop {hop} leaves {env.size} onset envelope frame(s) in "
+            f"{clip.samples.size} samples; beat features need at least two")
+    m = max(2, math.ceil(clip.samples.size * fps / clip.sample_rate))
+    peak = env.max()
+    if peak > 0:
+        env = env / peak
+    src_t = np.arange(env.size) / (clip.sample_rate / hop)
+    frame_env = np.interp(np.arange(m) / fps, src_t, env)
+    lags = np.zeros((m, channels))
+    for j in range(min(channels, m)):
+        lags[j:, j] = frame_env[: m - j]
+    return AudioCondition(lags, Fraction(fps), beats)
 
 
 def synth_condition(beat_times, m: int, fps, c_a: int, seed=0) -> AudioCondition:

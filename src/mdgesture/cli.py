@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,7 @@ from . import formats
 from .audio import (
     DEFAULT_HOP,
     DEFAULT_WIN,
-    AudioCondition,
-    align_features,
+    beat_features,
     detect_beats,
     onset_envelope,
     read_wav,
@@ -78,9 +76,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _check_out_dirs(*paths) -> None:
+    """Refuse, before any work, an output whose directory is missing, so
+    that a failed run leaves no earlier output behind."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise InvalidArgumentError(
+                f"output directory {Path(path).parent} of {path} does not exist"
+            )
+
+
 # -- tps-solve ----------------------------------------------------------
 
 def cmd_tps_solve(args) -> int:
+    _check_out_dirs(args.out)
     src, dst = formats.pairs_from_text(read_text(args.pairs))
     t = solve_tps(src, dst, regularization=args.regularization)
     formats.write_transform(args.out, t)
@@ -105,14 +114,14 @@ def _compose_flow(transforms, height, width, softness, background):
     else:
         h, w = height, width
     grids = deform_grids(transforms, h, w)
-    controls = [t.controls_d for t in transforms]
-    field = combine_flow(grids, controls, softness, background=background)
+    field = combine_flow(grids, transforms, softness, background=background)
     if (h, w) != (height, width):
         field = upsample_flow(field, height, width)
     return field
 
 
 def cmd_warp(args) -> int:
+    _check_out_dirs(args.out, args.mask, args.flow_out)
     img = read_pnm_file(args.image)
     transforms = [formats.read_transform(p) for p in args.transform]
     field = _compose_flow(
@@ -165,6 +174,7 @@ def _load_dataset_dir(path) -> list:
 
 
 def cmd_train(args) -> int:
+    _check_out_dirs(args.out, args.loss_csv)
     cfg = _load_config(args)
     dataset = training_windows(_load_dataset_dir(args.data), cfg)
     model, history = train_denoiser(dataset, cfg)
@@ -230,6 +240,7 @@ def _render_frames(frame_transforms, cfg, src_img, out_dir):
 
 
 def cmd_generate(args) -> int:
+    _check_out_dirs(args.out, args.scores)
     cfg = _load_config(args)
     if bool(args.render_src) != bool(args.render_dir):
         raise InvalidArgumentError(
@@ -362,37 +373,20 @@ def cmd_metrics(args) -> int:
 
 # -- beats --------------------------------------------------------------
 
-def _lag_stack(envelope: np.ndarray, channels: int) -> np.ndarray:
-    """Feature matrix whose channel j is the envelope delayed j frames."""
-    m = envelope.shape[0]
-    out = np.zeros((m, channels))
-    for j in range(min(channels, m)):  # a lag of m or more frames stays zero
-        out[j:, j] = envelope[: m - j]
-    return out
-
-
 def cmd_beats(args) -> int:
     if args.fps < 1 or args.channels < 1:
         raise InvalidArgumentError("--fps and --channels must be >= 1")
     if not (math.isfinite(args.ratio) and args.ratio > 0):
         raise InvalidArgumentError(f"--ratio must be finite and > 0, got {args.ratio}")
+    _check_out_dirs(args.out, args.features)
     clip = read_wav(Path(args.wav).read_bytes())
     envelope = onset_envelope(clip, args.win, args.hop)
     beats = detect_beats(envelope, args.hop, clip.sample_rate, args.ratio)
+    cond = (beat_features(clip, envelope, args.hop, beats, args.fps, args.channels)
+            if args.features else None)
     rows = ["beat,time_s"] + [f"{i},{_fmt(t)}" for i, t in enumerate(beats)]
     _write_text(args.out, rows)
-    if args.features:
-        m = math.ceil(clip.samples.size * args.fps / clip.sample_rate)
-        m = max(2, m)
-        peak = envelope.max()
-        if peak > 0:
-            envelope = envelope / peak
-        frame_env = align_features(
-            envelope[:, None], Fraction(clip.sample_rate, args.hop), m, args.fps
-        )
-        cond = AudioCondition(
-            _lag_stack(frame_env[:, 0], args.channels), Fraction(args.fps), beats
-        )
+    if cond is not None:
         formats.write_audio_features(args.features, cond)
     print(f"{len(beats)} beats in {float(clip.duration):.3f} s")
     return 0

@@ -74,31 +74,25 @@ def deform_grids(transforms, height: int, width: int) -> list[np.ndarray]:
     return [eval_tps_grid(t, height, width) for t in transforms]
 
 
-def combine_flow(grids, control_sets, softness: float = 0.1,
+def combine_flow(grids, transforms, softness: float = 0.1,
                  background: bool = False) -> FlowField:
     """Blend per-transform grids into one flow field.
 
-    grids: K arrays (H, W, 2); control_sets: K point sets, set k holding
-    transform k's anchors in origin space. Pixel weights are
-    softmax(-d_k / softness) where d_k is the distance to the nearest
-    anchor of transform k. With `background`, an identity grid joins the
-    blend with distance max_k d_k, so pixels far from every anchor stay
-    put.
+    grids: K arrays (H, W, 2), grid k evaluated from transforms[k]. Pixel
+    weights are softmax(-d_k / softness) where d_k is the distance to the
+    nearest origin-space anchor (`controls_d`) of transform k. With
+    `background`, an identity grid joins the blend with distance
+    max_k d_k, so pixels far from every anchor stay put.
     """
     grids = [np.asarray(g, dtype=np.float64) for g in grids]
-    control_sets = [np.asarray(c, dtype=np.float64) for c in control_sets]
+    control_sets = [t.controls_d for t in transforms]
     if not grids or len(grids) != len(control_sets):
-        raise InvalidArgumentError("grids and control_sets must pair up")
+        raise InvalidArgumentError("grids and transforms must pair up")
     shape = grids[0].shape
     if any(g.shape != shape for g in grids):
         raise InvalidArgumentError("all grids must share one shape")
     if len(shape) != 3 or shape[2] != 2:
         raise InvalidArgumentError("grids must be (H, W, 2)")
-    for c in control_sets:
-        if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
-            raise InvalidArgumentError("each control set must be (N, 2)")
-        if not np.all(np.isfinite(c)):
-            raise InvalidArgumentError("control sets must be finite")
     if not (np.isfinite(softness) and softness >= MIN_SOFTNESS):
         raise InvalidArgumentError(
             f"softness must be finite and >= {MIN_SOFTNESS:g}, got {softness}"
@@ -192,8 +186,6 @@ def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
     source row, then along y: every output element gets the products and
     sums `_bilinear` would give it at that lattice point.
     """
-    if height < 2 or width < 2:
-        raise InvalidArgumentError("target size must be at least 2x2")
     x, y = lattice_axes(height, width)
     x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width)
     y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height)

@@ -132,8 +132,6 @@ def transform_from_bytes(data: bytes) -> TpsTransform:
     cur = _Cursor(data, "transform file")
     cur.expect_magic(MAGIC_TRANSFORM)
     n = cur.u32()
-    if n < 1:
-        raise FormatError("transform must have at least one control point")
     affine = cur.floats(6, "affine").reshape(2, 3)
     weights = cur.floats(2 * n, "weights").reshape(n, 2)
     controls = cur.floats(2 * n, "controls").reshape(n, 2)

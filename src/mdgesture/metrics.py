@@ -132,12 +132,9 @@ def summarize(features) -> GaussianSummary:
     return GaussianSummary(mu, (cov + cov.T) / 2.0)
 
 
-def _sqrt_psd(mat: np.ndarray, floor: float) -> np.ndarray:
+def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    if vals.min() < floor:
-        raise InvalidArgumentError("matrix is not positive semidefinite")
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def frechet_distance(g1: GaussianSummary, g2: GaussianSummary) -> float:
@@ -149,11 +146,9 @@ def frechet_distance(g1: GaussianSummary, g2: GaussianSummary) -> float:
     """
     if g1.dim != g2.dim:
         raise InvalidArgumentError("summary dimensions must match")
-    root1 = _sqrt_psd(g1.covariance, -1e-6)
+    root1 = _sqrt_psd(g1.covariance)
     inner = root1 @ g2.covariance @ root1
     vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-    if vals.min() < -1e-6:
-        raise InvalidArgumentError("covariance product is not positive semidefinite")
     trace_sqrt = float(np.sum(np.sqrt(np.maximum(vals, 0.0))))
     delta = g1.mean - g2.mean
     dist = (

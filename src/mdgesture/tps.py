@@ -44,16 +44,6 @@ def _u_of_rsq(rsq, out=None):
     return u
 
 
-def rbf_u(r):
-    """Radial basis U(r) = r^2 log(r^2), elementwise; U(0) = 0."""
-    r = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(r)) or np.any(r < 0.0):
-        raise InvalidArgumentError("rbf_u requires finite r >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _u_of_rsq(r * r)
-    return float(out) if out.ndim == 0 else out
-
-
 def lattice_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The column coordinates x (W,) and row coordinates y (H,) of the
     normalized lattice: x_c = -1 + 2c/(W-1), so corners map to the
@@ -95,7 +85,7 @@ class TpsTransform:
 
     affine: 2x3 matrix; row d holds the coefficients of (x, y, 1).
     weights: N x 2 radial weights.
-    controls_d: N x 2 origin-space anchor points.
+    controls_d: N x 2 origin-space anchor points, N >= 1.
     """
 
     affine: np.ndarray
@@ -110,6 +100,8 @@ class TpsTransform:
             raise InvalidArgumentError("affine must be a finite 2x3 matrix")
         if w.shape[0] != c.shape[0]:
             raise InvalidArgumentError("weights and controls_d disagree on N")
+        if c.shape[0] < 1:
+            raise InvalidArgumentError("transform must have at least one control point")
         object.__setattr__(self, "affine", a)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "controls_d", c)

@@ -154,7 +154,7 @@ def test_2_flow_warp(capsys):
         grids = deform_grids(transforms, 12, 12)
         field = combine_flow(
             grids,
-            [t.controls_d for t in transforms],
+            transforms,
             softness=0.05 + 0.2 * g.random(),
             background=background,
         )

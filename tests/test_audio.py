@@ -7,7 +7,7 @@ import pytest
 from mdgesture.audio import (
     AudioClip,
     AudioCondition,
-    align_features,
+    beat_features,
     detect_beats,
     onset_envelope,
     read_wav,
@@ -218,39 +218,42 @@ class TestDetectBeats:
             detect_beats(env, 256, 16000, ratio)
 
 
-class TestAlignFeatures:
-    def test_same_grid_identity(self, rng):
-        f = rng.normal(size=(20, 3))
-        out = align_features(f, 25, 20, 25)
-        assert np.array_equal(out, f)
+class TestBeatFeatures:
+    def test_on_grid_frames_read_scaled_envelope(self, rng):
+        # hop / rate == 1 / fps puts every frame on an envelope row
+        clip = AudioClip(np.zeros(8000), 8000)
+        env = rng.uniform(0.0, 3.0, size=25)
+        cond = beat_features(clip, env, 320, [0.2, 0.6], 25, 3)
+        assert cond.n_frames == 25 and cond.fps == 25
+        assert np.array_equal(cond.features[:, 0], env / env.max())
+        assert np.array_equal(cond.beats, [0.2, 0.6])
 
-    def test_constant_preserved(self):
-        f = np.full((10, 2), 0.7)
-        out = align_features(f, 30, 25, 25)
-        assert np.all(out == 0.7)
+    def test_linear_between_rows_clamped_at_ends(self):
+        # 1001 samples at 8000 Hz span ceil(3.003) = 4 frames at 24 fps
+        clip = AudioClip(np.zeros(1001), 8000)
+        env = np.arange(4.0)  # rows at 0, 1/32, 2/32, 3/32 s
+        f = beat_features(clip, env, 250, [], 24, 1).features[:, 0]
+        expect = np.minimum(np.arange(4) / 24 * 32, 3.0) / 3.0
+        assert np.max(np.abs(f - expect)) < 1e-12
+        assert f[-1] == 1.0
 
-    def test_linear_exact(self):
-        src_fps, dst_fps = 40, 25
-        f = (np.arange(41) / src_fps)[:, None] * np.array([[2.0, -1.0]])
-        out = align_features(f, src_fps, 25, dst_fps)
-        expect = (np.arange(25) / dst_fps)[:, None] * np.array([[2.0, -1.0]])
-        assert np.max(np.abs(out - expect)) < 1e-9
+    def test_channels_are_lags(self, rng):
+        clip = AudioClip(np.zeros(8000), 8000)
+        cond = beat_features(clip, rng.uniform(size=25), 320, [], 25, 30)
+        f = cond.features
+        assert f.shape == (25, 30)
+        for j in range(25):
+            assert np.array_equal(f[j:, j], f[: 25 - j, 0])
+            assert not f[:j, j].any()
+        assert not f[:, 25:].any()  # lags past the clip's 25 frames
 
-    def test_endpoints_clamped(self):
-        f = np.arange(5.0)[:, None]
-        out = align_features(f, 25, 20, 25)
-        assert np.all(out[5:] == 4.0)
-
-    def test_channel_permutation_commutes(self, rng):
-        f = rng.normal(size=(12, 4))
-        perm = [2, 0, 3, 1]
-        a = align_features(f, 30, 9, 25)[:, perm]
-        b = align_features(f[:, perm], 30, 9, 25)
-        assert np.array_equal(a, b)
-
-    def test_too_few_rows(self):
-        with pytest.raises(InvalidArgumentError):
-            align_features(np.zeros((1, 2)), 25, 10, 25)
+    def test_one_envelope_frame_refused_naming_hop(self):
+        clip = AudioClip(np.zeros(8000), 8000)
+        with pytest.raises(InvalidArgumentError, match="--hop 9000"):
+            beat_features(clip, np.zeros(1), 9000, [], 25, 4)
+        # a silent clip's envelope is all zero and stays zero, unscaled
+        cond = beat_features(clip, np.zeros(2), 9000, [], 25, 4)
+        assert cond.n_frames == 25 and not cond.features.any()
 
 
 class TestSynthCondition:

@@ -707,6 +707,57 @@ def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
 
 
 @pytest.fixture(scope="module")
+def writer_inputs(pipeline, wav_path, tmp_path_factory):
+    """Inputs for every command that writes files, in one directory."""
+    rng = np.random.default_rng(7)
+    ins = tmp_path_factory.mktemp("writer_inputs")
+    (ins / "pairs.csv").write_text(formats.pairs_to_text(*random_pairs(rng, 5)))
+    (ins / "src.ppm").write_bytes(write_pnm(from_bytes_array(
+        rng.integers(0, 256, size=(9, 9, 3), dtype=np.uint8))))
+    formats.write_transform(ins / "t.mdtp", shift_transform(-0.25))
+    return SimpleNamespace(ins=ins, pipeline=pipeline, wav=wav_path[0])
+
+
+# each writing command's input arguments, and its output flags with names
+WRITERS = {
+    "tps-solve": (lambda w: ["--pairs", str(w.ins / "pairs.csv")],
+                  {"--out": "t.mdtp"}),
+    "warp": (lambda w: ["--image", str(w.ins / "src.ppm"),
+                        "--transform", str(w.ins / "t.mdtp")],
+             {"--out": "w.ppm", "--mask": "m.pgm", "--flow-out": "f.mdfl"}),
+    "beats": (lambda w: ["--wav", str(w.wav)],
+              {"--out": "b.csv", "--features": "f.mdaf"}),
+    "train": (lambda w: ["--config", str(w.pipeline.cfg), "--data", str(w.pipeline.data)],
+              {"--out": "model.mdnn", "--loss-csv": "loss.csv"}),
+    "generate": (lambda w: ["--config", str(w.pipeline.cfg),
+                            "--params", str(w.pipeline.model),
+                            "--features", str(w.pipeline.data / "seq_0000.mdaf"),
+                            "--seed-motion", str(w.pipeline.data / "seq_0000.mdsq")],
+                 {"--out": "gen.mdsq", "--scores": "s.csv"}),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("tps-solve", "--out"), ("warp", "--flow-out"), ("warp", "--mask"),
+    ("beats", "--features"), ("train", "--loss-csv"), ("generate", "--scores"),
+])
+def test_missing_output_directory_writes_nothing(writer_inputs, tmp_path, capsys,
+                                                  command, flag):
+    """A missing output directory once failed only after the other outputs
+    were written, with an error naming a hidden temp file."""
+    missing = tmp_path / "nodir"
+    args, outputs = WRITERS[command]
+    argv = [command, *args(writer_inputs)]
+    for f, name in outputs.items():
+        argv += [f, str((missing if f == flag else tmp_path) / name)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(missing) in err[0] and ".tmp" not in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
 def rendered(tmp_path_factory):
     root = tmp_path_factory.mktemp("render")
     cfg = root / "run.cfg"
@@ -906,6 +957,18 @@ class TestBeats:
              flag, value]
         ) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not feat.exists()
+
+    def test_hop_leaving_one_envelope_frame_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "one_second.wav"
+        path.write_bytes(write_wav(AudioClip(np.zeros(8000), 8000)))
+        out, feat = tmp_path / "b.csv", tmp_path / "f.mdaf"
+        assert cli.main(
+            ["beats", "--wav", str(path), "--out", str(out), "--features", str(feat),
+             "--hop", "9000"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--hop 9000" in err
         assert not out.exists() and not feat.exists()
 
     def test_not_a_wav(self, tmp_path):

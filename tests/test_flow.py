@@ -21,13 +21,20 @@ from mdgesture.ppm import (
     to_bytes_array,
     write_pnm,
 )
-from mdgesture.tps import identity_transform, normalized_lattice, solve_tps
+from mdgesture.tps import TpsTransform, identity_transform, normalized_lattice, solve_tps
 
 from conftest import random_pairs
 
 
 def random_image(rng, h, w, ch=3):
     return from_bytes_array(rng.integers(0, 256, size=(h, w, ch), dtype=np.uint8))
+
+
+def anchored(controls):
+    """An identity-affine transform with no radial part whose anchors are
+    `controls`: for blend tests, where only the anchors matter."""
+    controls = np.asarray(controls, dtype=np.float64)
+    return TpsTransform(np.eye(2, 3), np.zeros_like(controls), controls)
 
 
 def shifted_transform(dx, dy):
@@ -117,7 +124,7 @@ class TestWarp:
     def test_linearity(self, rng):
         src, dst = random_pairs(rng, 5)
         t = solve_tps(src, dst)
-        flow = combine_flow(deform_grids([t], 16, 16), [t.controls_d])
+        flow = combine_flow(deform_grids([t], 16, 16), [t])
         i1 = random_image(rng, 16, 16)
         i2 = random_image(rng, 16, 16)
         a, b = 0.3, 0.6
@@ -192,13 +199,13 @@ class TestCombine:
     def test_single_grid_passthrough(self):
         t = shifted_transform(0.1, -0.2)
         grids = deform_grids([t], 12, 12)
-        flow = combine_flow(grids, [t.controls_d])
+        flow = combine_flow(grids, [t])
         assert np.array_equal(flow.map, grids[0])
 
     def test_two_identical_transforms(self):
         t = shifted_transform(0.05, 0.05)
         grids = deform_grids([t, t], 10, 10)
-        flow = combine_flow(grids, [t.controls_d, t.controls_d])
+        flow = combine_flow(grids, [t, t])
         assert np.max(np.abs(flow.map - grids[0])) < 1e-9
 
     def test_equidistant_pixel_is_midpoint(self):
@@ -207,7 +214,7 @@ class TestCombine:
         g2 = lattice + np.array([-0.3, 0.2])
         c1 = np.array([[-0.5, 0.0]])
         c2 = np.array([[0.5, 0.0]])
-        flow = combine_flow([g1, g2], [c1, c2])
+        flow = combine_flow([g1, g2], [anchored(c1), anchored(c2)])
         mid_col = 4  # lattice x == 0 there, equidistant from both anchors
         expect = 0.5 * (g1[:, mid_col] + g2[:, mid_col])
         assert np.max(np.abs(flow.map[:, mid_col] - expect)) < 1e-12
@@ -215,7 +222,7 @@ class TestCombine:
     def test_identity_composition(self):
         ts = [identity_transform() for _ in range(3)]
         grids = deform_grids(ts, 8, 8)
-        flow = combine_flow(grids, [t.controls_d for t in ts])
+        flow = combine_flow(grids, ts)
         assert np.max(np.abs(flow.map - normalized_lattice(8, 8))) < 1e-9
 
     def test_convexity_bounds(self, rng):
@@ -228,7 +235,7 @@ class TestCombine:
             background = bool(rng.integers(0, 2))
             grids = deform_grids(ts, 8, 8)
             flow = combine_flow(
-                grids, [t.controls_d for t in ts],
+                grids, ts,
                 softness=float(rng.uniform(0.05, 0.5)), background=background,
             )
             hull = grids + ([normalized_lattice(8, 8)] if background else [])
@@ -241,9 +248,9 @@ class TestCombine:
         src, dst = random_pairs(rng, 5)
         t = solve_tps(src, dst)
         grids = deform_grids([t, identity_transform()], 16, 16)
-        sets = [t.controls_d, identity_transform().controls_d]
-        f1 = combine_flow(grids, sets, background=True)
-        f2 = combine_flow(grids, sets, background=True)
+        ts = [t, identity_transform()]
+        f1 = combine_flow(grids, ts, background=True)
+        f2 = combine_flow(grids, ts, background=True)
         assert np.array_equal(f1.map, f2.map)
 
     def test_shape_mismatch_rejected(self):
@@ -251,7 +258,7 @@ class TestCombine:
         g1 = deform_grids([t], 8, 8)[0]
         g2 = deform_grids([t], 9, 8)[0]
         with pytest.raises(InvalidArgumentError):
-            combine_flow([g1, g2], [t.controls_d, t.controls_d])
+            combine_flow([g1, g2], [t, t])
 
     @pytest.mark.parametrize("softness", [0.0, -0.1, 1e-310, 1e-7, np.inf, np.nan])
     def test_bad_softness_rejected_before_arithmetic(self, softness):
@@ -260,24 +267,23 @@ class TestCombine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match="finite and >="):
-                combine_flow(grids, [t.controls_d], softness)
+                combine_flow(grids, [t], softness)
 
     def test_smallest_softness_accepted(self):
         t = identity_transform()
         grids = deform_grids([t, t], 8, 8)
-        sets = [t.controls_d, t.controls_d + 0.5]
+        ts = [t, anchored(t.controls_d + 0.5)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flow = combine_flow(grids, sets, 1e-6, background=True)
+            flow = combine_flow(grids, ts, 1e-6, background=True)
         assert np.array_equal(flow.map, grids[0])
 
     @pytest.mark.parametrize("bad", [np.zeros((0, 2)), np.zeros((3, 3)),
                                      np.array([[0.0, np.nan]])])
     def test_bad_control_set_rejected(self, bad):
-        t = identity_transform()
-        grids = deform_grids([t, t], 8, 8)
+        # combine_flow reads its anchors from transforms, which refuse them
         with pytest.raises(InvalidArgumentError):
-            combine_flow(grids, [t.controls_d, bad])
+            TpsTransform(np.eye(2, 3), np.zeros((bad.shape[0], 2)), bad)
 
 
 def reference_combine(grids, control_sets, softness, background):
@@ -316,7 +322,8 @@ class TestCombineReference:
         sets[2][:2] = [[-1.4, 0.3], [1.2, 1.7]]
         grids = [normalized_lattice(h, w) + rng.normal(0.0, 0.1, size=(h, w, 2))
                  for _ in sets]
-        flow = combine_flow(grids, sets, softness, background=background)
+        flow = combine_flow(grids, [anchored(c) for c in sets], softness,
+                            background=background)
         expect = reference_combine(grids, sets, softness, background)
         assert np.array_equal(flow.map, expect)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mdgesture import audio, diffusion, synth
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import (
@@ -416,3 +417,67 @@ class TestCandidateHeads:
         claims_local = type("ClaimsLocal", (FrameMixingDenoiser,), {"frame_local": True})
         _, wrong = generate_long(claims_local(model), cond, seed_motion, m_total, cfg)
         assert report_bits(wrong) != report_bits(ref_report)
+
+
+@pytest.fixture(scope="class")
+def default_rig_short_segments():
+    """Three 12-frame segments on the default rig's c = 200, p = 5 and no
+    gap: a shape where heads may differ from full draws in the last bits."""
+    cfg = PipelineConfig(k=20, n=5, m=12, t_steps=8, gamma=2.0, p=5, gap=0, seed=5)
+    model = MlpDenoiser(cfg.c, 4, 64, 8, seed=2)
+    cond = synth_condition([0.2, 0.7, 1.1], 3 * cfg.m, 25, 4, seed=9)
+    seed_motion = generator(9, 77).normal(size=cfg.c)
+    out, report = generate_long(model, cond, seed_motion, 3 * cfg.m, cfg)
+    return cfg, model, cond, seed_motion, out, report
+
+
+class TestHeadPassOffRigShapes:
+    def test_kept_segments_are_full_draws_on_winner_seed(self, default_rig_short_segments):
+        cfg, model, cond, seed_motion, out, report = default_rig_short_segments
+        m, sched = cfg.m, make_schedule(cfg.t_steps, cfg.schedule)
+        start, seed = seed_motion, cfg.seed
+        for i in range(3):
+            if i:
+                (best,) = [cand for seg, cand, _, sel in report if seg == i and sel]
+                seed = (cfg.seed, i, best)
+            cond_i = Condition(cond.features[i * m : (i + 1) * m], start)
+            kept = sample(model, cond_i, sched, seed=seed, gamma=cfg.gamma,
+                          fps=cond.fps).frames
+            assert np.array_equal(out.frames[i * m : (i + 1) * m], kept)
+            start = kept[-1]
+
+    def test_winner_is_lowest_total_ties_to_lower_index(self, default_rig_short_segments):
+        cfg, *_, report = default_rig_short_segments
+        for i in (1, 2):
+            rows = [(cand, sc.total, sel) for seg, cand, sc, sel in report if seg == i]
+            assert [cand for cand, _, _ in rows] == list(range(cfg.p))
+            low = min(total for _, total, _ in rows)
+            first_low = next(cand for cand, total, _ in rows if total == low)
+            assert [sel for *_, sel in rows] == [c == first_low for c in range(cfg.p)]
+
+
+def flat_parts(parts):
+    """Seed parts flattened as `rng.generator` flattens them."""
+    return tuple(int(q) for p in parts for q in (p if isinstance(p, tuple) else (p,)))
+
+
+@pytest.mark.xfail(reason="candidate p of segment s draws from generator(seed, s, p), "
+                          "the stream of dataset sequence s when p = 0")
+def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
+    def record(module, seen):
+        real = module.generator
+        monkeypatch.setattr(module, "generator",
+                            lambda *parts: seen.add(flat_parts(parts)) or real(*parts))
+
+    cfg = PipelineConfig(k=1, n=2, m=12, t_steps=4, gamma=2.0, p=3, gap=0,
+                         sequences=4, c_audio=3, seed=0)
+    model = MlpDenoiser(cfg.c, cfg.c_audio, hidden=10, embed=4, seed=1)
+    cond = synth_condition([0.2], 3 * cfg.m, 25, cfg.c_audio, seed=3)
+    data_keys, sample_keys = set(), set()
+    record(synth, data_keys)
+    record(audio, data_keys)
+    record(diffusion, sample_keys)
+    synth.make_dataset(cfg)
+    generate_long(model, cond, generator(3, 77).normal(size=cfg.c), 3 * cfg.m, cfg)
+    assert len(sample_keys) == 1 + 2 * cfg.p
+    assert not data_keys & sample_keys
