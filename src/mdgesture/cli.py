@@ -324,8 +324,6 @@ def _features_for(path, count: int) -> list:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     generated = _sequences_in(args.generated, "generated")
     reference = _sequences_in(args.reference, "reference")
     conds = _features_for(args.features, len(generated))
@@ -363,6 +361,8 @@ def cmd_metrics(args) -> int:
         f"diversity_reference = {_fmt(div_ref)}",
         f"frechet = {_fmt(frechet)}",
     ]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "summary.txt", summary)
     _write_text(out_dir / "per_sequence.csv", per_rows)
     _write_text(out_dir / "velocity_curves.csv", curve_rows)

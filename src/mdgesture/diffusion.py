@@ -30,7 +30,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import InvalidArgumentError, NumericsError
 from .motion import DEFAULT_FPS, MotionSequence
-from .rng import generator
+from .rng import StepNoise, generator
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
 
@@ -193,9 +193,10 @@ def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
            seed, gamma: float = 1.0, fps=DEFAULT_FPS) -> MotionSequence:
     """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed.
 
-    The motion has one frame per audio row of cond and one channel per
-    entry of its seed motion."""
-    x = _reverse_chain(d, cond, sched, [generator(seed)], cond.audio.shape[0], gamma)
+    The noise comes from StepNoise(seed), one keyed step per level. The
+    motion has one frame per audio row of cond and one channel per entry
+    of its seed motion."""
+    x = _reverse_chain(d, cond, sched, [StepNoise(seed)], gamma)
     return MotionSequence(x, fps)
 
 
@@ -205,10 +206,9 @@ def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     each seed, as (rows, C) arrays. d must be frame-local.
 
     One reverse chain denoises the heads stacked into a
-    (len(seeds) * rows, C) array. Each seed's generator still draws the
-    full (M, C) normals of every step, in sample's order, and keeps the
-    first rows: a normal takes no fixed number of words from the stream,
-    so the rows after the head cannot be skipped.
+    (len(seeds) * rows, C) array. Each step draws only the (rows, C)
+    normals of each seed: a keyed step's first rows are the rows a full
+    draw takes.
 
     The heads equal the full draws' first rows bit for bit when the BLAS
     sums each row of a matrix product in one order whatever the row
@@ -219,27 +219,27 @@ def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     """
     if not d.frame_local:
         raise InvalidArgumentError("head rows need a frame-local denoiser")
-    gens = [generator(s) for s in seeds]
-    heads = Condition(np.tile(cond.audio[:rows], (len(gens), 1)), cond.seed_motion)
-    x = _reverse_chain(d, heads, sched, gens, cond.audio.shape[0], gamma)
-    return np.split(x, len(gens))
+    noise = [StepNoise(s) for s in seeds]
+    heads = Condition(np.tile(cond.audio[:rows], (len(noise), 1)), cond.seed_motion)
+    return np.split(_reverse_chain(d, heads, sched, noise, gamma), len(noise))
 
 
 def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                   gens, m: int, gamma: float) -> np.ndarray:
-    """Denoise len(gens) blocks stacked along cond's rows down to x0;
-    block i takes the first rows of generator i's (m, C) normals."""
-    rows = cond.audio.shape[0] // len(gens)
-    shape = (m, cond.seed_motion.size)
+                   noise, gamma: float) -> np.ndarray:
+    """Denoise len(noise) blocks stacked along cond's rows down to x0.
 
-    def normals():
-        parts = [g.standard_normal(shape)[:rows] for g in gens]
+    Block i takes its normals from noise[i]: x_T at step T, and the
+    noise that reverse step t adds to form x_{t-1} at step t - 1."""
+    shape = (cond.audio.shape[0] // len(noise), cond.seed_motion.size)
+
+    def normals(step):
+        parts = [n.normals(step, shape) for n in noise]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    x = normals()
+    x = normals(sched.n_steps)
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
-        x = p_step(x, t, x0h, sched, normals() if t > 1 else None)
+        x = p_step(x, t, x0h, sched, normals(t - 1) if t > 1 else None)
     return x
 
 

@@ -101,6 +101,12 @@ def select_best(prev_segment, candidates):
     return best, scores
 
 
+def candidate_seed(seed, segment: int, candidate: int) -> tuple:
+    """The seed of candidate `candidate` of segment `segment` >= 1 on the
+    root seed; segment 0 is one draw on the root seed itself."""
+    return (seed, segment, candidate)
+
+
 def generate_long(denoiser, cond_full, seed_motion, m_total: int,
                   cfg: PipelineConfig):
     """Sample m_total frames as stitched segments of cfg.m frames.
@@ -111,14 +117,14 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     seed_motion, so a single-segment call reproduces a plain sample() run
     bit for bit; a shorter request trims it. Each later segment is
     conditioned on the previous one's last frame and has cfg.p candidates
-    with seeds (cfg.seed, segment, candidate); select_best scores their
-    first WINDOW frames and keeps the best continuation. When the
-    denoiser is frame_local and cfg.p > 1, sample_heads draws only those
-    head frames and the winner alone is sampled in full. The heads are
-    the full draws' first frames (see sample_heads for the BLAS this
-    rests on), so motion and scores are those of drawing every candidate
-    in full. With cfg.gap > 0 every junction's gap frames are replaced
-    by a spline fit through 5 knot frames on each side; gap = 0
+    on seeds candidate_seed(cfg.seed, segment, candidate); select_best
+    scores their first WINDOW frames and keeps the best continuation.
+    When the denoiser is frame_local and cfg.p > 1, sample_heads draws
+    only those head frames and the winner alone is sampled in full. The
+    heads are the full draws' first frames (see sample_heads for the
+    BLAS this rests on), so motion and scores are those of drawing every
+    candidate in full. With cfg.gap > 0 every junction's gap frames are
+    replaced by a spline fit through 5 knot frames on each side; gap = 0
     concatenates as-is.
 
     Returns (motion, report) where report rows are
@@ -162,7 +168,7 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
         segments.append(sample(denoiser, cond_i, sched, seed=seeds[best],
                                gamma=cfg.gamma, fps=fps) if head_pass else draws[best])
         start = segments[-1].frames[-1]
-        seeds = [(cfg.seed, i + 1, p) for p in range(cfg.p)]
+        seeds = [candidate_seed(cfg.seed, i + 1, p) for p in range(cfg.p)]
 
     full = np.vstack([s.frames for s in segments])
     if gap > 0:

@@ -892,6 +892,20 @@ class TestMetrics:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("refused", ["generated", "reference", "features"])
+    def test_refused_run_leaves_no_report_dir(self, pipeline, tmp_path, refused):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        inputs = {name: pipeline.data for name in ("generated", "reference", "features")}
+        inputs[refused] = empty
+        report = tmp_path / "report"
+        code = cli.main(
+            ["metrics", "--out-dir", str(report)]
+            + [arg for name, path in inputs.items() for arg in (f"--{name}", str(path))]
+        )
+        assert code == 2
+        assert not report.exists()
+
 
 @pytest.fixture(scope="module")
 def wav_path(tmp_path_factory):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mdgesture import audio, diffusion, synth
+from mdgesture import audio, rng, synth
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import (
@@ -19,6 +19,7 @@ from mdgesture.longgen import (
     FILL_KNOTS,
     WINDOW,
     CandidateScore,
+    candidate_seed,
     generate_long,
     position_score,
     select_best,
@@ -277,7 +278,7 @@ class TestGenerateLong:
             model,
             Condition(cond.features[m : 2 * m], first.frames[-1]),
             SCHED,
-            seed=(2, 1, 0),
+            seed=candidate_seed(2, 1, 0),
             fps=cond.fps,
         )
         assert np.array_equal(out.frames[m:], second.frames)
@@ -326,7 +327,7 @@ def all_candidates_long(denoiser, cond_full, seed_motion, m_total, cfg):
         report.extend((i, p, sc, p == best) for p, sc in enumerate(scores))
         segments.append(draws[best])
         start = draws[best].frames[-1]
-        seeds = [(cfg.seed, i + 1, p) for p in range(cfg.p)]
+        seeds = [candidate_seed(cfg.seed, i + 1, p) for p in range(cfg.p)]
     full = np.vstack([sg.frames for sg in segments])
     if gap > 0:
         tail_half = (gap + 1) // 2
@@ -439,7 +440,7 @@ class TestHeadPassOffRigShapes:
         for i in range(3):
             if i:
                 (best,) = [cand for seg, cand, _, sel in report if seg == i and sel]
-                seed = (cfg.seed, i, best)
+                seed = candidate_seed(cfg.seed, i, best)
             cond_i = Condition(cond.features[i * m : (i + 1) * m], start)
             kept = sample(model, cond_i, sched, seed=seed, gamma=cfg.gamma,
                           fps=cond.fps).frames
@@ -461,8 +462,6 @@ def flat_parts(parts):
     return tuple(int(q) for p in parts for q in (p if isinstance(p, tuple) else (p,)))
 
 
-@pytest.mark.xfail(reason="candidate p of segment s draws from generator(seed, s, p), "
-                          "the stream of dataset sequence s when p = 0")
 def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
     def record(module, seen):
         real = module.generator
@@ -476,8 +475,14 @@ def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
     data_keys, sample_keys = set(), set()
     record(synth, data_keys)
     record(audio, data_keys)
-    record(diffusion, sample_keys)
+    record(rng, sample_keys)  # rng.StepNoise builds every sampling key
     synth.make_dataset(cfg)
     generate_long(model, cond, generator(3, 77).normal(size=cfg.c), 3 * cfg.m, cfg)
     assert len(sample_keys) == 1 + 2 * cfg.p
     assert not data_keys & sample_keys
+
+    # SeedSequence pads a key with zero words: (0,) and (0, 0, 0) are one key
+    def philox_keys(keys):
+        return {tuple(generator(*k).bit_generator.state["state"]["key"]) for k in keys}
+
+    assert not philox_keys(data_keys) & philox_keys(sample_keys)
