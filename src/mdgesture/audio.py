@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
 from .motion import gaussian_smooth
-from .rng import generator
+from .rng import AUDIO_TAG, generator
 
 DEFAULT_WIN = 1024
 DEFAULT_HOP = 256
@@ -264,7 +264,7 @@ def synth_condition(beat_times, m: int, fps, c_a: int, seed=0) -> AudioCondition
     if fps <= 0:
         raise InvalidArgumentError("fps must be positive")
     beats = np.asarray(beat_times, dtype=np.float64).reshape(-1)
-    g = generator(seed, 0xA0D1)
+    g = generator(seed, AUDIO_TAG)
     impulses = np.zeros(m)
     for t in beats:
         j = int(round(t * float(fps)))

@@ -465,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output motion file")
     p.add_argument("--scores", help="write the candidate-score CSV here")
-    p.add_argument("--frames", type=int, help="total frames (default: feature rows)")
-    p.add_argument("--seconds", type=float,
-                   help="total duration in seconds, at the feature file's fps")
+    length = p.add_mutually_exclusive_group()
+    length.add_argument("--frames", type=int, help="total frames (default: feature rows)")
+    length.add_argument("--seconds", type=float,
+                        help="total duration in seconds, at the feature file's fps")
     p.add_argument("--render-src", help="source image to warp per frame")
     p.add_argument("--render-dir", help="directory for rendered frames")
     p.set_defaults(func=cmd_generate)

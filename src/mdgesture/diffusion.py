@@ -29,8 +29,9 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import InvalidArgumentError, NumericsError
+from .fileio import F32_MAX
 from .motion import DEFAULT_FPS, MotionSequence
-from .rng import StepNoise, generator
+from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
 
@@ -323,7 +324,7 @@ class MlpDenoiser(Denoiser):
             self.n_channels, self.n_audio, self.hidden, self.embed)
         self._flat = np.zeros(sum(math.prod(s) for s in self._shapes.values()))
         vars(self).update(_views(self._flat, self._shapes))  # w1, b1, w2, b2
-        g = generator(seed, 0xD1FF)
+        g = generator(seed, INIT_TAG)
         c, c_a = self.n_channels, self.n_audio
         self._blocks = (slice(0, c), slice(c, c + c_a),  # w1's column blocks
                         slice(c + c_a, 2 * c + c_a), slice(2 * c + c_a, None))
@@ -332,15 +333,10 @@ class MlpDenoiser(Denoiser):
         self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
         self.w2[...] = g.uniform(-lim2, lim2, size=self.w2.shape)
 
-    @staticmethod
-    def input_width(n_channels: int, n_audio: int, embed: int) -> int:
-        """Per-frame input size: x_t, audio, seed motion, t embedding."""
-        return 2 * n_channels + n_audio + embed
-
     @classmethod
     def param_shapes(cls, c: int, c_a: int, hidden: int, embed: int) -> dict:
         """Each parameter's shape, in PARAM_NAMES (= flat vector) order."""
-        w1 = (hidden, cls.input_width(c, c_a, embed))
+        w1 = (hidden, 2 * c + c_a + embed)  # x_t, audio, seed motion, t embedding
         return dict(zip(cls.PARAM_NAMES, [w1, (hidden,), (c, hidden), (c,)]))
 
     def _preactivation(self, x_t, t: int, cond: Condition):
@@ -476,8 +472,6 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     turns non-finite, or that leaves a parameter outside the float32
     range of the model file, instead of training on.
     """
-    from .formats import F32_MAX  # formats imports this module
-
     dataset = list(dataset)
     if not dataset:
         raise InvalidArgumentError("training dataset is empty")
@@ -493,8 +487,8 @@ def train_denoiser(dataset, cfg: PipelineConfig):
 
     sched = make_schedule(cfg.t_steps, cfg.schedule)
     model = MlpDenoiser(c, c_a, cfg.hidden, cfg.embed, seed=cfg.seed)
-    g = generator(cfg.seed, 1)
-    probe_rng = generator(cfg.seed, 2)
+    g = generator(cfg.seed, BATCH_TAG)
+    probe_rng = generator(cfg.seed, PROBE_TAG)
 
     probe = []
     for i in range(min(8, len(dataset))):

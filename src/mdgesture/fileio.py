@@ -1,11 +1,15 @@
-"""Atomic file writes, and UTF-8 text reads that fail as parse errors."""
+"""Atomic writes, UTF-8 reads that fail as parse errors, and F32_MAX."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError
+
+F32_MAX = float(np.finfo("<f4").max)  # the largest magnitude a float32 field holds
 
 
 def read_text(path) -> str:

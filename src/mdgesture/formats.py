@@ -27,7 +27,7 @@ import numpy as np
 from .audio import AudioCondition, read_wav
 from .diffusion import MlpDenoiser
 from .errors import FormatError, InvalidArgumentError
-from .fileio import write_atomic
+from .fileio import F32_MAX, write_atomic
 from .flow import FlowField
 from .motion import MotionSequence
 from .ppm import parse_pnm
@@ -41,7 +41,6 @@ MAGIC_DENOISER = b"MDNN"
 
 PAIRS_HEADER = "src_x,src_y,dst_x,dst_y"
 MAX_U32 = 2**32 - 1  # the largest count a header field holds
-F32_MAX = float(np.finfo("<f4").max)  # the largest magnitude a float32 field holds
 
 
 class _Cursor:

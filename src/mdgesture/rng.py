@@ -5,13 +5,25 @@ here, so a fixed seed yields the same stream regardless of how work is
 batched or threaded. Philox is counter-based, which is what makes that
 guarantee cheap to keep: StepNoise sets the counter to jump straight to
 one reverse step's noise.
+
+Every package key ends in a nonzero tag naming its stream's purpose,
+from the table below. SeedSequence pads a key shorter than four words
+with zeros, so a key ending in 0 is also every shorter key: (seed, 1, 0)
+is (seed, 1). Two keys that end in nonzero words are one key only if
+they are one tuple, so distinct tags keep purposes apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-NOISE_TAG = 0x4E4F4953  # "NOIS": the last seed part of every StepNoise key
+# the last seed part of each package key; seed may be an int or a tuple
+MOTION_TAG = 0x4D4F544E  # "MOTN": synth_sequence, (seed, index, MOTION_TAG)
+AUDIO_TAG = 0xA0D1  # synth_condition, (seed, AUDIO_TAG)
+INIT_TAG = 0xD1FF  # MlpDenoiser weights, (seed, INIT_TAG)
+BATCH_TAG = 1  # train_denoiser minibatches, (seed, BATCH_TAG)
+PROBE_TAG = 2  # train_denoiser probe batch, (seed, PROBE_TAG)
+NOISE_TAG = 0x4E4F4953  # "NOIS": every StepNoise key, (seed, NOISE_TAG)
 
 
 def generator(*seed_parts) -> np.random.Generator:

@@ -15,7 +15,7 @@ import numpy as np
 from .audio import AudioCondition, synth_condition
 from .errors import InvalidArgumentError
 from .motion import MotionSequence
-from .rng import generator
+from .rng import MOTION_TAG, generator
 
 BEAT_START = 5
 DIP_DEPTH = 0.8
@@ -49,7 +49,7 @@ def synth_sequence(cfg, index: int) -> tuple[MotionSequence, AudioCondition]:
     index = int(index)
     if index < 0:
         raise InvalidArgumentError("sequence index must be >= 0")
-    g = generator(cfg.seed, index, 0)
+    g = generator(cfg.seed, index, MOTION_TAG)
     m = cfg.m
     points = cfg.k * cfg.n
     fps = Fraction(cfg.fps)

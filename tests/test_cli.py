@@ -453,6 +453,13 @@ class TestGenerate:
         assert (motion.n_frames, motion.fps) == (30, 50)
         assert motion.n_frames / motion.fps == pytest.approx(0.6)
 
+    def test_frames_and_seconds_refused_together(self, pipeline, tmp_path, capsys):
+        code, out, scores = self.generate(
+            pipeline, tmp_path, ["--frames", "12", "--seconds", "1.2"])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists() and not scores.exists()
+
     def test_multi_segment_scores(self, pipeline, tmp_path):
         code, out, scores = self.generate(pipeline, tmp_path, ["--frames", "30"])
         assert code == 0
