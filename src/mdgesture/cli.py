@@ -227,7 +227,6 @@ def _frame_transforms(motion, seed_vec, cfg) -> list:
 
 def _render_frames(frame_transforms, cfg, src_img, out_dir):
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["frame,file"]
     for i, transforms in enumerate(frame_transforms):
         field = _compose_flow(
@@ -273,8 +272,10 @@ def cmd_generate(args) -> int:
         raise InvalidArgumentError(
             f"{m_total} frames do not fit a motion file's u32 frame count")
     motion, report = generate_long(model, cond, seed_vec, m_total, cfg)
-    frame_transforms = (_frame_transforms(motion, seed_vec, cfg)
-                        if args.render_src else None)
+    frame_transforms = None
+    if args.render_src:
+        frame_transforms = _frame_transforms(motion, seed_vec, cfg)
+        Path(args.render_dir).mkdir(parents=True, exist_ok=True)
     formats.write_sequence(args.out, motion)
     if args.scores:
         rows = ["segment,candidate,position,angle,total,selected"]
@@ -326,6 +327,11 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     generated = _sequences_in(args.generated, "generated")
     reference = _sequences_in(args.reference, "reference")
+    channels = sorted({seq.n_channels for _, seq in generated + reference})
+    if len(channels) > 1:
+        raise InvalidArgumentError(
+            f"generated and reference sequences must share one channel count, "
+            f"got {', '.join(map(str, channels))}")
     conds = _features_for(args.features, len(generated))
 
     per_rows = ["sequence,file,bas,gesture_beats,audio_beats"]

@@ -117,9 +117,9 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         kind = _FIELD_TYPES[name]
         try:
-            if kind == "int" or kind is int:
+            if kind == "int":
                 values[name] = int(val)
-            elif kind == "float" or kind is float:
+            elif kind == "float":
                 values[name] = float(val)
             else:
                 values[name] = val

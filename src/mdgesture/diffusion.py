@@ -202,27 +202,25 @@ def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
 
 
 def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                 seeds, rows: int, gamma: float = 1.0) -> list:
+                 seeds, rows: int, gamma: float = 1.0) -> np.ndarray:
     """The first `rows` frames of sample(d, cond, sched, seed, gamma) for
-    each seed, as (rows, C) arrays. d must be frame-local.
+    each seed, as one (len(seeds), rows, C) block. d must be frame-local.
 
     One reverse chain denoises the heads stacked into a
     (len(seeds) * rows, C) array. Each step draws only the (rows, C)
     normals of each seed: a keyed step's first rows are the rows a full
-    draw takes.
+    draw takes, so the noise matches a full draw's exactly.
 
-    The heads equal the full draws' first rows bit for bit when the BLAS
-    sums each row of a matrix product in one order whatever the row
-    count. OpenBLAS 0.3 does at the benchmark rigs' shapes (c = 8 and
-    c = 200, 80-frame segments, 5 heads of 5 rows); it switches kernels
-    for some smaller products (c = 200 with 12-frame segments), and there
-    the heads differ at round-off, about 4e-15.
+    The denoised heads match the full draws' first rows to rounding, not
+    bit for bit: a matrix product over fewer rows may sum in another
+    order, depending on the BLAS kernel and the shapes (about 1e-15 on
+    values of order 1).
     """
     if not d.frame_local:
         raise InvalidArgumentError("head rows need a frame-local denoiser")
     noise = [StepNoise(s) for s in seeds]
     heads = Condition(np.tile(cond.audio[:rows], (len(noise), 1)), cond.seed_motion)
-    return np.split(_reverse_chain(d, heads, sched, noise, gamma), len(noise))
+    return _reverse_chain(d, heads, sched, noise, gamma).reshape(len(noise), rows, -1)
 
 
 def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,

@@ -12,7 +12,6 @@ spline so stitches stay smooth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .config import PipelineConfig
 from .diffusion import Condition, make_schedule, sample, sample_heads
 from .errors import InvalidArgumentError
-from .motion import MotionSequence, _frames_of, as_points, spline_fill
+from .motion import MotionSequence, spline_fill
 
 WINDOW = 5
 FILL_KNOTS = 5
@@ -33,72 +32,41 @@ class CandidateScore:
     position: float
     angle: float
 
-    def __post_init__(self):
-        for name in ("position", "angle"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidArgumentError(f"{name} score must be finite and >= 0")
-            object.__setattr__(self, name, v)
-
     @property
     def total(self) -> float:
         return self.position + self.angle
 
 
-def _windows(prev_tail, cand_head):
-    a = np.asarray(prev_tail, dtype=np.float64)
-    b = np.asarray(cand_head, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
-        raise InvalidArgumentError("windows must be matrices of identical shape")
-    if a.shape[0] != WINDOW:
-        raise InvalidArgumentError(f"windows must hold exactly {WINDOW} frames")
-    return a, b
+def select_best(prev_segment, heads):
+    """Score a (P, >= WINDOW, C) block of candidates on their first WINDOW
+    frames against prev_segment's closing WINDOW frames.
 
-
-def position_score(prev_tail, cand_head) -> float:
-    """L1 distance between the two windows' per-channel mean positions."""
-    a, b = _windows(prev_tail, cand_head)
-    return float(np.sum(np.abs(a.mean(axis=0) - b.mean(axis=0))))
-
-
-def velocity_angle_score(prev_tail, cand_head) -> float:
-    """Mean angle between the windows' per-keypoint mean velocities.
-
-    Velocities are frame differences averaged over each window; keypoints
-    whose mean velocity is shorter than 1e-6 in either window contribute 0.
+    position is the L1 distance between the two windows' per-channel mean
+    positions. angle is the mean, over keypoints, of the angle between
+    the windows' mean velocities (frame differences averaged over each
+    window); a keypoint whose mean velocity is shorter than 1e-6 in
+    either window contributes 0. Returns (index of the lowest total, all
+    P scores); ties go to the lowest index.
     """
-    a, b = _windows(prev_tail, cand_head)
-    va = np.diff(as_points(a), axis=0).mean(axis=0)
-    vb = np.diff(as_points(b), axis=0).mean(axis=0)
-    na = np.linalg.norm(va, axis=1)
-    nb = np.linalg.norm(vb, axis=1)
+    prev = np.asarray(prev_segment, dtype=np.float64)
+    heads = np.asarray(heads, dtype=np.float64)
+    if (heads.ndim != 3 or prev.ndim != 2 or heads.shape[0] < 1
+            or min(heads.shape[1], prev.shape[0]) < WINDOW
+            or heads.shape[2] != prev.shape[1] or heads.shape[2] % 2):
+        raise InvalidArgumentError(
+            f"candidates must be a (P >= 1, >= {WINDOW}, C) block after >= {WINDOW} "
+            f"frames of C channels, C even; got {heads.shape} after {prev.shape}")
+    tail, heads = prev[-WINDOW:], heads[:, :WINDOW]
+    position = np.abs(heads.mean(axis=1) - tail.mean(axis=0)).sum(axis=1)
+    va = np.diff(tail.reshape(WINDOW, -1, 2), axis=0).mean(axis=0)
+    vb = np.diff(heads.reshape(len(heads), WINDOW, -1, 2), axis=1).mean(axis=1)
+    na = np.linalg.norm(va, axis=-1)
+    nb = np.linalg.norm(vb, axis=-1)
     moving = (na >= 1e-6) & (nb >= 1e-6)
-    angles = np.zeros(va.shape[0])
-    if np.any(moving):
-        dots = np.sum(va[moving] * vb[moving], axis=1)
-        cosines = np.clip(dots / (na[moving] * nb[moving]), -1.0, 1.0)
-        angles[moving] = np.arccos(cosines)
-    return float(angles.mean())
-
-
-def select_best(prev_segment, candidates):
-    """Score every candidate against prev_segment's closing WINDOW frames.
-
-    Returns (index of the lowest total score, all scores); ties go to the
-    lowest index. A segment shorter than WINDOW, or a candidate of
-    another channel count, fails the scores' window check.
-    """
-    if len(candidates) < 1:
-        raise InvalidArgumentError("need at least one candidate")
-    tail = _frames_of(prev_segment)[-WINDOW:]
-    scores = []
-    for cand in candidates:
-        head = _frames_of(cand)[:WINDOW]
-        scores.append(
-            CandidateScore(position_score(tail, head), velocity_angle_score(tail, head))
-        )
-    best = min(range(len(scores)), key=lambda i: scores[i].total)
-    return best, scores
+    cosines = np.sum(va * vb, axis=-1) / np.where(moving, na * nb, 1.0)
+    angle = np.where(moving, np.arccos(np.clip(cosines, -1.0, 1.0)), 0.0).mean(axis=1)
+    best = int(np.argmin(position + angle))
+    return best, [CandidateScore(float(p), float(a)) for p, a in zip(position, angle)]
 
 
 def candidate_seed(seed, segment: int, candidate: int) -> tuple:
@@ -118,12 +86,13 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     bit for bit; a shorter request trims it. Each later segment is
     conditioned on the previous one's last frame and has cfg.p candidates
     on seeds candidate_seed(cfg.seed, segment, candidate); select_best
-    scores their first WINDOW frames and keeps the best continuation.
-    When the denoiser is frame_local and cfg.p > 1, sample_heads draws
-    only those head frames and the winner alone is sampled in full. The
-    heads are the full draws' first frames (see sample_heads for the
-    BLAS this rests on), so motion and scores are those of drawing every
-    candidate in full. With cfg.gap > 0 every junction's gap frames are
+    scores the p candidates as one block on their first WINDOW frames and
+    keeps the best continuation. When the denoiser is frame_local and
+    cfg.p > 1, sample_heads draws only those head frames and the winner
+    alone is sampled in full; otherwise every candidate is drawn in full.
+    The heads equal the full draws' first frames to rounding (see
+    sample_heads), and a kept segment is always exactly the full draw on
+    the winner's seed. With cfg.gap > 0 every junction's gap frames are
     replaced by a spline fit through 5 knot frames on each side; gap = 0
     concatenates as-is.
 
@@ -152,25 +121,28 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
         feats = np.vstack([feats, pad])
 
     sched = make_schedule(cfg.t_steps, cfg.schedule)
-    fps = cond_full.fps
+
+    def draw(cond, seed):
+        return sample(denoiser, cond, sched, seed=seed, gamma=cfg.gamma).frames
+
     segments, report = [], []
     start, seeds = seed_vec, [cfg.seed]
     for i in range(n_seg):
         cond_i = Condition(feats[i * m : (i + 1) * m], start)
-        head_pass = bool(segments) and len(seeds) > 1 and denoiser.frame_local
-        if head_pass:
-            draws = sample_heads(denoiser, cond_i, sched, seeds, WINDOW, cfg.gamma)
+        if segments and len(seeds) > 1 and denoiser.frame_local:
+            heads = sample_heads(denoiser, cond_i, sched, seeds, WINDOW, cfg.gamma)
+            best, scores = select_best(segments[-1], heads)
+            kept = draw(cond_i, seeds[best])
         else:
-            draws = [sample(denoiser, cond_i, sched, seed=draw_seed,
-                            gamma=cfg.gamma, fps=fps) for draw_seed in seeds]
-        best, scores = select_best(segments[-1], draws) if segments else (0, [])
+            draws = np.stack([draw(cond_i, seed) for seed in seeds])
+            best, scores = select_best(segments[-1], draws) if segments else (0, [])
+            kept = draws[best]
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
-        segments.append(sample(denoiser, cond_i, sched, seed=seeds[best],
-                               gamma=cfg.gamma, fps=fps) if head_pass else draws[best])
-        start = segments[-1].frames[-1]
+        segments.append(kept)
+        start = kept[-1]
         seeds = [candidate_seed(cfg.seed, i + 1, p) for p in range(cfg.p)]
 
-    full = np.vstack([s.frames for s in segments])
+    full = np.vstack(segments)
     if gap > 0:
         tail_half = (gap + 1) // 2  # frames taken from the end of the left segment
         for i in range(1, n_seg):
@@ -178,4 +150,4 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
             left = full[lo - FILL_KNOTS : lo]
             right = full[lo + gap : lo + gap + FILL_KNOTS]
             full[lo : lo + gap] = spline_fill(left, right, gap)
-    return MotionSequence(full[:m_total].copy(), fps), report
+    return MotionSequence(full[:m_total].copy(), cond_full.fps), report

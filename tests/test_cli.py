@@ -813,6 +813,28 @@ class TestRender:
         assert lines[2] == "0,frame_00000.ppm"
         assert len(lines) == 8
 
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_unusable_render_dir_writes_nothing(self, rendered, tmp_path, capsys, under):
+        """The render directory is made before the motion and scores are
+        written, so a render directory that cannot be made leaves neither."""
+        _, frames = rendered
+        root = frames.parent
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out, scores = tmp_path / "gen.mdsq", tmp_path / "s.csv"
+        code = cli.main(
+            ["generate", "--config", str(root / "run.cfg"),
+             "--params", str(root / "model.mdnn"),
+             "--features", str(root / "data" / "seq_0000.mdaf"),
+             "--seed-motion", str(root / "data" / "seq_0000.mdsq"),
+             "--out", str(out), "--scores", str(scores), "--frames", "6",
+             "--render-src", str(root / "src.ppm"),
+             "--render-dir", str(blocker / "frames" if under else blocker)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not scores.exists()
+
 
 @pytest.fixture(scope="module")
 def reports(pipeline, tmp_path_factory):
@@ -898,6 +920,32 @@ class TestMetrics:
              "--features", str(pipeline.data), "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("generated,reference", [
+        ("WN", "WW"), ("WW", "WN"), ("WW", "NN"),
+    ], ids=["generated", "reference", "across"])
+    def test_mixed_channel_counts_refused(self, pipeline, tmp_path, capsys,
+                                          generated, reference):
+        # W: a k = 2, n = 2 sequence (8 channels); N: a k = 1, n = 2 one (4)
+        wide = formats.read_sequence(pipeline.data / "seq_0000.mdsq")
+        seqs = {"W": wide, "N": MotionSequence(wide.frames[:, :4], wide.fps)}
+        dirs = {"generated": generated, "reference": reference}
+        for name, layout in dirs.items():
+            dirs[name] = tmp_path / name
+            dirs[name].mkdir()
+            for i, kind in enumerate(layout):
+                formats.write_sequence(dirs[name] / f"{i}.mdsq", seqs[kind])
+        report = tmp_path / "report"
+        code = cli.main(
+            ["metrics", "--generated", str(dirs["generated"]),
+             "--reference", str(dirs["reference"]),
+             "--features", str(pipeline.data / "seq_0000.mdaf"),
+             "--out-dir", str(report)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4, 8" in err
+        assert not report.exists()
 
     @pytest.mark.parametrize("refused", ["generated", "reference", "features"])
     def test_refused_run_leaves_no_report_dir(self, pipeline, tmp_path, refused):
