@@ -55,6 +55,7 @@ from .motion import unflatten
 from .ppm import mask_to_pgm, read_pnm_file, write_pnm_file
 from .synth import make_dataset
 from .tps import bending_energy, eval_tps, solve_tps, solve_tps_batch
+from .workspace import Workspace
 
 
 def _load_config(args) -> PipelineConfig:
@@ -103,31 +104,34 @@ def cmd_tps_solve(args) -> int:
 
 # -- warp ---------------------------------------------------------------
 
-def _compose_flow(transforms, height, width, softness, background):
-    """Blend transforms into one flow for an output of the given size.
+def _render_frame(transforms, src_img, softness, background, ws):
+    """Warp `src_img` through the flow blended from `transforms`; returns
+    the frame and the flow, both views of the workspace `ws`.
 
     Composition happens at FLOW_RESOLUTION when the image is larger,
     then the field is bilinearly upsampled to the image lattice.
     """
+    height, width = src_img.height, src_img.width
     if max(height, width) > FLOW_RESOLUTION:
         h = w = FLOW_RESOLUTION
     else:
         h, w = height, width
-    grids = deform_grids(transforms, h, w)
-    field = combine_flow(grids, transforms, softness, background=background)
+    grids = deform_grids(transforms, h, w, ws)
+    field = combine_flow(grids, transforms, softness, background, ws)
     if (h, w) != (height, width):
-        field = upsample_flow(field, height, width)
-    return field
+        field = upsample_flow(field, height, width, ws)
+    return warp_image(src_img, field, ws), field
 
 
 def cmd_warp(args) -> int:
     _check_out_dirs(args.out, args.mask, args.flow_out)
     img = read_pnm_file(args.image)
     transforms = [formats.read_transform(p) for p in args.transform]
-    field = _compose_flow(
-        transforms, img.height, img.width, args.softness, args.background
+    ws = Workspace()
+    frame, field = _render_frame(
+        transforms, img, args.softness, args.background, ws
     )
-    write_pnm_file(args.out, warp_image(img, field))
+    write_pnm_file(args.out, frame, ws)
     if args.mask:
         write_atomic(args.mask, mask_to_pgm(~field.valid_mask))
     if args.flow_out:
@@ -225,16 +229,34 @@ def _frame_transforms(motion, seed_vec, cfg) -> list:
     return frames
 
 
+def _frame_name(i: int) -> str:
+    return f"frame_{i:05d}.ppm"
+
+
 def _render_frames(frame_transforms, cfg, src_img, out_dir):
+    """Write one frame per entry of `frame_transforms`, then `frames.csv`.
+
+    All frames go through one workspace. A directory that holds an
+    earlier render loses its `frames.csv` before the first frame is
+    written and, once the last one is, the frames numbered past this
+    render's, so `frames.csv` only ever indexes the frames beside it.
+    """
     out_dir = Path(out_dir)
+    (out_dir / "frames.csv").unlink(missing_ok=True)
+    ws = Workspace()
     rows = ["frame,file"]
     for i, transforms in enumerate(frame_transforms):
-        field = _compose_flow(
-            transforms, src_img.height, src_img.width, cfg.softness, True
-        )
-        name = f"frame_{i:05d}.ppm"
-        write_pnm_file(out_dir / name, warp_image(src_img, field))
+        frame, _ = _render_frame(transforms, src_img, cfg.softness, True, ws)
+        name = _frame_name(i)
+        write_pnm_file(out_dir / name, frame, ws)
         rows.append(f"{i},{name}")
+    count = len(rows) - 1
+    for path in out_dir.glob("frame_*.ppm"):
+        number = path.name[len("frame_"):-len(".ppm")]
+        stale = (number.isdigit() and int(number) >= count
+                 and path.name == _frame_name(int(number)))
+        if stale and not path.is_dir():
+            path.unlink()
     _write_text(out_dir / "frames.csv", rows, seed=cfg.seed)
 
 

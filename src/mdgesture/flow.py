@@ -7,6 +7,11 @@ smoothly with a `softness` length scale. The flow stores, per output
 pixel, the normalized coordinate to sample from in the source image;
 warping is backward bilinear interpolation, and pixels whose sample point
 falls outside [-1, 1]^2 are occluded (filled with black).
+
+Every layer takes its arrays from a `Workspace` (see `workspace`): a
+render makes one, sized by its first frame, and passes it to every layer
+of every frame, so frames reuse the same buffers. A layer's result is a
+view of the workspace, valid until the next frame is rendered through it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .ppm import RasterImage
 from .tps import eval_tps_grid, lattice_axes, normalized_lattice
+from .workspace import Workspace
 
 FLOW_RESOLUTION = 64  # native resolution of composed flow fields
 # Smallest blend length scale. Far below one pixel even of a 4096-pixel
@@ -43,6 +49,14 @@ class FlowField:
             raise InvalidArgumentError("flow map must be finite")
         object.__setattr__(self, "map", m)
 
+    @classmethod
+    def computed(cls, m: np.ndarray) -> FlowField:
+        """Wrap a finite float64 (H, W, 2) map computed from a checked
+        field, without checking it again."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "map", m)
+        return field
+
     @property
     def height(self) -> int:
         return self.map.shape[0]
@@ -53,29 +67,31 @@ class FlowField:
 
     @property
     def valid_mask(self) -> np.ndarray:
-        m = self.map
-        return (
-            (m[..., 0] >= -1.0)
-            & (m[..., 0] <= 1.0)
-            & (m[..., 1] >= -1.0)
-            & (m[..., 1] <= 1.0)
-        )
+        shape = self.map.shape[:2]
+        return ~_occluded(self.map, np.empty((2,) + shape), np.empty(shape, np.bool_))
 
 
 def identity_flow(height: int, width: int) -> FlowField:
     return FlowField(normalized_lattice(height, width))
 
 
-def deform_grids(transforms, height: int, width: int) -> list[np.ndarray]:
-    """Evaluate every transform on the pixel lattice."""
+def deform_grids(transforms, height: int, width: int,
+                 ws: Workspace | None = None) -> list[np.ndarray]:
+    """Evaluate every transform on the pixel lattice.
+
+    Grid k is an (H, W, 2) view of plane k of one (K, 2, H, W) block.
+    """
     transforms = list(transforms)
     if not transforms:
         raise InvalidArgumentError("need at least one transform")
-    return [eval_tps_grid(t, height, width) for t in transforms]
+    ws = Workspace() if ws is None else ws
+    block = ws.get("flow.grids", (len(transforms), 2, height, width))
+    return [eval_tps_grid(t, height, width, out=planes.transpose(1, 2, 0), ws=ws)
+            for t, planes in zip(transforms, block)]
 
 
 def combine_flow(grids, transforms, softness: float = 0.1,
-                 background: bool = False) -> FlowField:
+                 background: bool = False, ws: Workspace | None = None) -> FlowField:
     """Blend per-transform grids into one flow field.
 
     grids: K arrays (H, W, 2), grid k evaluated from transforms[k]. Pixel
@@ -97,11 +113,13 @@ def combine_flow(grids, transforms, softness: float = 0.1,
         raise InvalidArgumentError(
             f"softness must be finite and >= {MIN_SOFTNESS:g}, got {softness}"
         )
+    ws = Workspace() if ws is None else ws
 
     # The lattice is separable, so squared distances are sums of a column
     # term and a row term. Ragged sets are padded by repeating their last
     # anchor, which leaves every minimum unchanged.
     height, width = shape[:2]
+    k = len(grids)
     x, y = lattice_axes(height, width)
     n_max = max(c.shape[0] for c in control_sets)
     anchors = np.stack([
@@ -112,87 +130,150 @@ def combine_flow(grids, transforms, softness: float = 0.1,
     dy = y[None, None, :] - anchors[:, :, 1, None]  # (K, N, H)
     sq_x = dx * dx
     sq_y = dy * dy
-    nearest = sq_x[:, 0, None, :] + sq_y[:, 0, :, None]  # (K, H, W)
-    for i in range(1, n_max):
-        np.minimum(nearest, sq_x[:, i, None, :] + sq_y[:, i, :, None],
-                   out=nearest)
-    dists = np.sqrt(nearest)
-    stack = list(grids)
+    # one plane per blended grid: distances, then logits, then weights
+    weights = ws.get("flow.weights", (k + background, height, width))
+    nearest = weights[:k]
+    sq = ws.get("flow.sq", (n_max, height, width))
+    for sx, sy, near in zip(sq_x, sq_y, nearest):
+        np.min(np.add(sx[:, None, :], sy[:, :, None], out=sq), axis=0, out=near)
+    np.sqrt(nearest, out=nearest)
     if background:
-        dists = np.concatenate([dists, dists.max(axis=0, keepdims=True)])
-        stack.append(normalized_lattice(height, width))
+        np.max(nearest, axis=0, out=weights[k])
 
-    logits = -dists / softness
-    logits -= logits.max(axis=0, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=0, keepdims=True)
+    peak = ws.get("flow.peak", (height, width))
+    weights /= -softness  # -d / softness, to the bit
+    weights -= np.max(weights, axis=0, out=peak)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=0, out=peak)
 
-    # Blended plane by plane: eval_tps_grid stores its grids as x and y
-    # planes, so each product runs over contiguous memory.
-    out = np.zeros((2, height, width))
-    for k, g in enumerate(stack):
-        out += weights[k] * g.transpose(2, 0, 1)
+    # Blended plane by plane: grids hold x and y planes, so each product
+    # runs over contiguous memory. The identity grid's planes are the
+    # lattice axes, broadcast.
+    out = ws.get("flow.map", (2, height, width))
+    term = ws.get("flow.term", (2, height, width))
+    out.fill(0.0)
+    for w_k, g in zip(weights, grids):
+        out += np.multiply(w_k, g.transpose(2, 0, 1), out=term)
+    if background:
+        np.multiply(weights[k], x[None, :], out=term[0])
+        np.multiply(weights[k], y[:, None], out=term[1])
+        out += term
     return FlowField(out.transpose(1, 2, 0))
 
 
-def _taps(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _taps(p: np.ndarray, n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left neighbour index and fraction of fractional positions `p` on an
     axis of n >= 2 samples, clipped to the axis; the last sample is reached
-    as index n - 2 with fraction 1."""
-    p = np.clip(p, 0.0, n - 1.0)
-    i0 = np.minimum(np.floor(p), n - 2).astype(np.int64)
-    return i0, p - i0
+    as index n - 2 with fraction 1. Writes the index into the integer
+    array `index` and the fraction over `p`."""
+    np.clip(p, 0.0, n - 1.0, out=p)
+    np.floor(p, out=index, casting="unsafe")
+    np.minimum(index, n - 2, out=index)
+    np.subtract(p, index, out=p)
+    return index, p
 
 
-def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def _lerp(a, b, index, g, f, out, tap, axis=None):
+    """out = g * a[index] + f * b[index], taken along `axis` (flat when
+    None) with `tap` as scratch; `index` is in range of both."""
+    np.take(a, index, axis=axis, out=out, mode="clip")
+    out *= g
+    out += np.multiply(np.take(b, index, axis=axis, out=tap, mode="clip"), f, out=tap)
+    return out
+
+
+def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
+              ws: Workspace | None = None) -> np.ndarray:
     """Sample (H, W, C) `field` at fractional pixel positions.
 
     Exact on integer positions: a zero fraction contributes the source
     texel unchanged, so integer lookups are bit-identical to indexing.
-    Each channel is gathered from its own contiguous plane by flat index.
+    Each channel is gathered from its own contiguous plane by flat index;
+    the taps right of and below the top-left one are gathered at the same
+    index from views of the plane that start 1, W and W + 1 samples in.
+    px and py are overwritten. Returns an (..., C) view of a (C, ...)
+    buffer of `ws`.
     """
+    ws = Workspace() if ws is None else ws
     h, w, ch = field.shape
-    x0, fx = _taps(px, w)
-    y0, fy = _taps(py, h)
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    i = y0 * w + x0  # flat index of the top-left tap
-    out = np.empty((ch,) + i.shape)
-    for c in range(ch):
+    shape = px.shape
+    x0, fx = _taps(px, w, ws.get("bilinear.x0", shape, np.intp))
+    i, fy = _taps(py, h, ws.get("bilinear.i", shape, np.intp))
+    i *= w
+    i += x0  # flat index of the top-left tap
+    gx = np.subtract(1.0, fx, out=ws.get("bilinear.gx", shape))
+    gy = np.subtract(1.0, fy, out=ws.get("bilinear.gy", shape))
+    out = ws.get("bilinear.out", (ch,) + shape)
+    bot = ws.get("bilinear.bot", shape)
+    tap = ws.get("bilinear.tap", shape)
+    for c, top in enumerate(out):
         plane = np.ascontiguousarray(field[:, :, c]).ravel()
-        top = gx * plane.take(i) + fx * plane.take(i + 1)
-        bot = gx * plane.take(i + w) + fx * plane.take(i + w + 1)
-        out[c] = gy * top + fy * bot
+        _lerp(plane, plane[1:], i, gx, fx, top, tap)
+        top *= gy
+        top += np.multiply(_lerp(plane[w:], plane[w + 1:], i, gx, fx, bot, tap), fy,
+                           out=bot)
     return np.moveaxis(out, 0, -1)
 
 
-def warp_image(src: RasterImage, flow: FlowField) -> RasterImage:
-    """Backward-warp `src` through `flow`; occluded pixels become black."""
+def _occluded(m: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mark in bool `out` where the (H, W, 2) map `m` points outside
+    [-1, 1]^2; `scratch` is a (2, H, W) float buffer."""
+    np.abs(m.transpose(2, 0, 1), out=scratch)
+    return np.greater(np.maximum(scratch[0], scratch[1], out=scratch[0]), 1.0,
+                      out=out)
+
+
+def warp_image(src: RasterImage, flow: FlowField,
+               ws: Workspace | None = None) -> RasterImage:
+    """Backward-warp `src` through `flow`; occluded pixels become black.
+
+    The result is a view of `ws`, valid until `ws` renders again.
+    """
     if src.height < 2 or src.width < 2:
         raise InvalidArgumentError("source image must be at least 2x2")
-    px = (flow.map[..., 0] + 1.0) * 0.5 * (src.width - 1)
-    py = (flow.map[..., 1] + 1.0) * 0.5 * (src.height - 1)
+    ws = Workspace() if ws is None else ws
+    shape = (flow.height, flow.width)
+    m = flow.map
+    positions = ws.get("warp.positions", (2,) + shape)
+    occluded = _occluded(m, positions, ws.get("warp.occluded", shape, np.bool_))
+    px, py = positions
+    np.add(m[..., 0], 1.0, out=px)
+    px *= 0.5
+    px *= src.width - 1
+    np.add(m[..., 1], 1.0, out=py)
+    py *= 0.5
+    py *= src.height - 1
+    out = _bilinear(src.data, px, py, ws)
     # clip absorbs the <= 1 ulp overshoot of convex float sums; values on
     # the exact path (zero fractions) pass through unchanged
-    out = np.clip(_bilinear(src.data, px, py), 0.0, 1.0)
-    out[~flow.valid_mask] = 0.0
-    return RasterImage(out)
+    np.clip(out, 0.0, 1.0, out=out)
+    out[occluded] = 0.0
+    return RasterImage.computed(out)
 
 
-def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
+def upsample_flow(flow: FlowField, height: int, width: int,
+                  ws: Workspace | None = None) -> FlowField:
     """Bilinearly resample a flow field onto a new lattice.
 
     The target lattice is separable, so this interpolates along x once per
     source row, then along y: every output element gets the products and
-    sums `_bilinear` would give it at that lattice point.
+    sums `_bilinear` would give it at that lattice point. The result is a
+    view of `ws`, valid until `ws` renders again.
     """
+    ws = Workspace() if ws is None else ws
     x, y = lattice_axes(height, width)
-    x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width)
-    y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height)
-    m = flow.map
+    x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width,
+                   np.empty(width, np.intp))
+    y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height,
+                   np.empty(height, np.intp))
+    gx = 1.0 - fx
+    gy = (1.0 - fy)[:, None]
     fy = fy[:, None]
-    out = np.empty((2, height, width))
-    for d in range(2):  # plane by plane, like _bilinear
-        rows = (1.0 - fx) * m[:, x0, d] + fx * m[:, x0 + 1, d]  # (H_src, width)
-        out[d] = (1.0 - fy) * rows[y0] + fy * rows[y0 + 1]
-    return FlowField(out.transpose(1, 2, 0))
+    out = ws.get("upsample.map", (2, height, width))
+    rows = ws.get("upsample.rows", (flow.height, width))
+    right = ws.get("upsample.right", (flow.height, width))
+    below = ws.get("upsample.below", (height, width))
+    for plane, out_d in zip(flow.map.transpose(2, 0, 1), out):  # like _bilinear
+        _lerp(plane, plane[:, 1:], x0, gx, fx, rows, right, axis=1)
+        _lerp(rows, rows[1:], y0, gy, fy, out_d, below, axis=0)
+    return FlowField.computed(out.transpose(1, 2, 0))

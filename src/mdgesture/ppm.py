@@ -2,7 +2,8 @@
 
 Pixels live in memory as floats in [0, 1]; files store one byte per
 sample. Quantization is round(v * 255), so byte -> float -> byte is the
-identity and round trips are bit-exact.
+identity and round trips are bit-exact. Images hold their samples plane
+by plane, the layout warping gathers from.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
 from .fileio import write_atomic
+from .workspace import Workspace
 
 
 @dataclass(frozen=True)
 class RasterImage:
-    """(H, W, channels) float intensities in [0, 1]; channels 1 or 3."""
+    """(H, W, channels) float intensities in [0, 1]; channels 1 or 3.
+
+    Stored plane by plane: each channel's (H, W) samples are contiguous.
+    """
 
     data: np.ndarray
 
@@ -32,7 +37,16 @@ class RasterImage:
             raise InvalidArgumentError("image must be nonempty")
         if not np.all(np.isfinite(d)) or d.min() < 0.0 or d.max() > 1.0:
             raise InvalidArgumentError("image values must lie in [0, 1]")
+        d = np.moveaxis(np.ascontiguousarray(np.moveaxis(d, -1, 0)), 0, -1)
         object.__setattr__(self, "data", d)
+
+    @classmethod
+    def computed(cls, data: np.ndarray) -> RasterImage:
+        """Wrap float64 (H, W, 1|3) samples computed in [0, 1], without
+        checking them again."""
+        img = object.__new__(cls)
+        object.__setattr__(img, "data", data)
+        return img
 
     @property
     def height(self) -> int:
@@ -52,9 +66,18 @@ def from_bytes_array(raw: np.ndarray) -> RasterImage:
     return RasterImage(np.asarray(raw, dtype=np.float64) / 255.0)
 
 
-def to_bytes_array(img: RasterImage) -> np.ndarray:
-    """Quantize to uint8 samples, round-half-even on exact ties."""
-    return np.clip(np.rint(img.data * 255.0), 0, 255).astype(np.uint8)
+def to_bytes_array(img: RasterImage, ws: Workspace | None = None) -> np.ndarray:
+    """Quantize to (H, W, ch) uint8 samples, round-half-even on exact
+    ties; samples lie in [0, 1], so every rounded value fits a byte.
+    The result is a buffer of `ws`."""
+    ws = Workspace() if ws is None else ws
+    h, w, ch = img.data.shape
+    raw = ws.get("pnm.raw", (h, w, ch), np.uint8)
+    scaled = ws.get("pnm.scaled", (h, w))
+    for c in range(ch):
+        np.multiply(img.data[:, :, c], 255.0, out=scaled)
+        np.rint(scaled, out=raw[:, :, c], casting="unsafe")
+    return raw
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -105,11 +128,11 @@ def parse_pnm(data: bytes) -> RasterImage:
     return from_bytes_array(arr)
 
 
-def write_pnm(img: RasterImage) -> bytes:
+def write_pnm(img: RasterImage, ws: Workspace | None = None) -> bytes:
     """Serialize to canonical P6 (3 channels) or P5 (1 channel) bytes."""
     magic = b"P6" if img.channels == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + to_bytes_array(img).tobytes()
+    return header + to_bytes_array(img, ws).tobytes()
 
 
 def mask_to_pgm(mask: np.ndarray) -> bytes:
@@ -124,5 +147,5 @@ def read_pnm_file(path) -> RasterImage:
     return parse_pnm(Path(path).read_bytes())
 
 
-def write_pnm_file(path, img: RasterImage) -> None:
-    write_atomic(path, write_pnm(img))
+def write_pnm_file(path, img: RasterImage, ws: Workspace | None = None) -> None:
+    write_atomic(path, write_pnm(img, ws))

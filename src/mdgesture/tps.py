@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularSystemError
+from .workspace import Workspace
 
 # A solve whose residual exceeds this is reported as singular rather than
 # returned; keeps "singular" testable without prescribing a factorization.
@@ -208,28 +209,33 @@ def identity_transform() -> TpsTransform:
     )
 
 
-def _eval_points(t: TpsTransform, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Shared evaluation core. x and y broadcast against each other: one
-    # element each for a point, a row x[None, :] and a column y[:, None]
-    # for the lattice, so the x and y terms are formed on the axes before
-    # they meet. The radial sum is an explicit loop over control points so
-    # the accumulation order is identical for single points and whole
-    # grids (matmul would reorder it by shape).
+def _eval_points(t: TpsTransform, x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                 ws: Workspace) -> np.ndarray:
+    # Shared evaluation core, writing into `out` (..., 2). x and y
+    # broadcast against each other: one element each for a point, a row
+    # x[None, :] and a column y[:, None] for the lattice, so the x and y
+    # terms are formed on the axes before they meet. Every anchor's
+    # squared distance, radial term and weighted term is formed in one
+    # (N, ...) block; the radial sum is an explicit loop over control
+    # points so the accumulation order is identical for single points and
+    # whole grids (matmul would reorder it by shape).
     a = t.affine
-    out_x = a[0, 2] + a[0, 0] * x + a[0, 1] * y
-    out_y = a[1, 2] + a[1, 0] * x + a[1, 1] * y
-    rsq = np.empty_like(out_x)
-    u = np.empty_like(out_x)
-    wu = np.empty_like(out_x)
+    c = t.controls_d
+    out_x, out_y = out[..., 0], out[..., 1]
+    np.add(a[0, 2] + a[0, 0] * x, a[0, 1] * y, out=out_x)
+    np.add(a[1, 2] + a[1, 0] * x, a[1, 1] * y, out=out_y)
+    column = (-1,) + (1,) * x.ndim
+    dx = x - c[:, 0].reshape(column)
+    dy = y - c[:, 1].reshape(column)
+    block = (c.shape[0],) + out_x.shape
+    rsq = np.add(dx * dx, dy * dy, out=ws.get("tps.rsq", block))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for (cx, cy), (wx, wy) in zip(t.controls_d, t.weights):
-            dx = x - cx
-            dy = y - cy
-            np.add(dx * dx, dy * dy, out=rsq)
-            _u_of_rsq(rsq, out=u)
-            out_x += np.multiply(wx, u, out=wu)
-            out_y += np.multiply(wy, u, out=wu)
-    return np.moveaxis(np.stack([out_x, out_y]), 0, -1)  # stored as two planes
+        u = _u_of_rsq(rsq, out=ws.get("tps.u", block))
+    for out_d, w_d in zip((out_x, out_y), t.weights.T):
+        terms = np.multiply(w_d.reshape(column), u, out=rsq)
+        for term in terms:
+            out_d += term
+    return out
 
 
 def eval_tps(t: TpsTransform, p) -> np.ndarray:
@@ -237,16 +243,23 @@ def eval_tps(t: TpsTransform, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise InvalidArgumentError("p must be a finite 2-vector")
-    return _eval_points(t, p[:1], p[1:])[0]
+    return _eval_points(t, p[:1], p[1:], np.empty((1, 2)), Workspace())[0]
 
 
-def eval_tps_grid(t: TpsTransform, height: int, width: int) -> np.ndarray:
+def eval_tps_grid(t: TpsTransform, height: int, width: int, out=None,
+                  ws: Workspace | None = None) -> np.ndarray:
     """Evaluate on the normalized pixel lattice; returns (H, W, 2).
 
-    Bit-identical to calling eval_tps at every lattice point.
+    Bit-identical to calling eval_tps at every lattice point. The result
+    is written into `out` when given, an (H, W, 2) float64 array (x and
+    y planes each contiguous is fastest, the layout of a fresh result);
+    scratch comes from `ws`.
     """
     x, y = lattice_axes(height, width)
-    return _eval_points(t, x[None, :], y[:, None])
+    if out is None:
+        out = np.empty((2, y.size, x.size)).transpose(1, 2, 0)
+    return _eval_points(t, x[None, :], y[:, None], out,
+                        Workspace() if ws is None else ws)
 
 
 def bending_energy(t: TpsTransform) -> float:

@@ -1,3 +1,4 @@
+import shutil
 import struct
 import warnings
 from types import SimpleNamespace
@@ -834,6 +835,50 @@ class TestRender:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() and not scores.exists()
+
+    @staticmethod
+    def render_into(root, frames, count):
+        return cli.main(
+            ["generate", "--config", str(root / "run.cfg"),
+             "--params", str(root / "model.mdnn"),
+             "--features", str(root / "data" / "seq_0000.mdaf"),
+             "--seed-motion", str(root / "data" / "seq_0000.mdsq"),
+             "--out", str(frames.parent / "gen.mdsq"), "--frames", str(count),
+             "--render-src", str(root / "src.ppm"), "--render-dir", str(frames)]
+        )
+
+    def test_shorter_rerender_removes_later_frames(self, rendered, tmp_path):
+        """A 3-frame render into a directory that holds a 6-frame render
+        leaves 3 frames and a 3-row index, and touches no other file."""
+        _, frames = rendered
+        again = tmp_path / "frames"
+        shutil.copytree(frames, again)
+        kept = ["frame_0003.ppm", "frame_00003.ppm.bak", "frame_x.ppm", "notes.txt"]
+        for name in kept:
+            (again / name).write_text("not a frame")
+        (again / "frame_00009.ppm").mkdir()
+        assert self.render_into(frames.parent, again, 3) == 0
+        names = sorted(p.name for p in again.iterdir())
+        assert names == sorted(
+            ["frame_00000.ppm", "frame_00001.ppm", "frame_00002.ppm",
+             "frame_00009.ppm", "frames.csv", *kept])
+        lines = (again / "frames.csv").read_text().splitlines()
+        assert lines[2:] == ["0,frame_00000.ppm", "1,frame_00001.ppm", "2,frame_00002.ppm"]
+        for i in range(3):
+            name = f"frame_{i:05d}.ppm"
+            assert (again / name).read_bytes() == (frames / name).read_bytes()
+
+    def test_failed_rerender_leaves_no_index(self, rendered, tmp_path, capsys):
+        """A render that fails part-way leaves no frames.csv over a mix of
+        new and old frames."""
+        _, frames = rendered
+        again = tmp_path / "frames"
+        shutil.copytree(frames, again)
+        (again / "frame_00002.ppm").unlink()
+        (again / "frame_00002.ppm").mkdir()
+        assert self.render_into(frames.parent, again, 6) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (again / "frames.csv").exists()
 
 
 @pytest.fixture(scope="module")
