@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -233,30 +235,105 @@ def _frame_name(i: int) -> str:
     return f"frame_{i:05d}.ppm"
 
 
-def _render_frames(frame_transforms, cfg, src_img, out_dir):
+# A worker renders at least this many frames: a fork costs about as much
+# as a few frames, so a short render stays in one process.
+FRAMES_PER_WORKER = 4
+
+
+def _worker_count(frames: int) -> int:
+    """Processes a render of `frames` frames uses: one per usable core,
+    each with at least FRAMES_PER_WORKER frames, and 1 where the
+    platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), frames // FRAMES_PER_WORKER))
+
+
+def _render_chunk(frame_transforms, start, stop, cfg, src_img, out_dir):
+    """Render frames start..stop-1 through one workspace of their own."""
+    ws = Workspace()
+    for i in range(start, stop):
+        frame, _ = _render_frame(frame_transforms[i], src_img, cfg.softness, True, ws)
+        write_pnm_file(out_dir / _frame_name(i), frame, ws)
+
+
+def _fork_chunk(*chunk) -> tuple[int, int]:
+    """Render a chunk in a forked child; returns its pid and the read end
+    of a pipe on which the child sends the exception it failed with.
+
+    The child leaves through os._exit: it never returns into the caller
+    and never flushes the stdio buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        _render_chunk(*chunk)
+        status = 0
+    except BaseException as e:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(e))
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, read_fd: int) -> BaseException | None:
+    """Wait for a forked chunk; returns the exception it failed with, or
+    None. A child that ended without sending one (a signal, say) is
+    reported by its exit code."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if payload:
+        return pickle.loads(payload)
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        return OSError(f"render worker {pid} ended with exit code {code}")
+    return None
+
+
+def _render_frames(frame_transforms, cfg, src_img, out_dir, workers=None):
     """Write one frame per entry of `frame_transforms`, then `frames.csv`.
 
-    All frames go through one workspace. A directory that holds an
-    earlier render loses its `frames.csv` before the first frame is
-    written and, once the last one is, the frames numbered past this
-    render's, so `frames.csv` only ever indexes the frames beside it.
+    The frames are split into `workers` contiguous chunks (by default
+    `_worker_count`). The calling process renders the first; each other
+    chunk renders in a forked child, and every child is waited for
+    before this returns or raises. A child's error is raised here, the
+    lowest chunk's first, as a one-process render would raise it. Each
+    chunk goes through one workspace, and the bytes written do not depend
+    on the number of workers.
+
+    A directory that holds an earlier render loses its `frames.csv`
+    before the first frame is written and, once the last one is, the
+    frames numbered past this render's, so `frames.csv` only ever
+    indexes the frames beside it.
     """
     out_dir = Path(out_dir)
     (out_dir / "frames.csv").unlink(missing_ok=True)
-    ws = Workspace()
-    rows = ["frame,file"]
-    for i, transforms in enumerate(frame_transforms):
-        frame, _ = _render_frame(transforms, src_img, cfg.softness, True, ws)
-        name = _frame_name(i)
-        write_pnm_file(out_dir / name, frame, ws)
-        rows.append(f"{i},{name}")
-    count = len(rows) - 1
+    count = len(frame_transforms)
+    workers = _worker_count(count) if workers is None else workers
+    workers = max(1, min(workers, count))
+    bounds = [count * j // workers for j in range(workers + 1)]
+    forked = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            forked.append(_fork_chunk(frame_transforms, start, stop, cfg, src_img, out_dir))
+        _render_chunk(frame_transforms, 0, bounds[1], cfg, src_img, out_dir)
+    finally:
+        errors = [e for e in (_join(*f) for f in forked) if e is not None]
+    if errors:
+        raise errors[0]
     for path in out_dir.glob("frame_*.ppm"):
         number = path.name[len("frame_"):-len(".ppm")]
         stale = (number.isdigit() and int(number) >= count
                  and path.name == _frame_name(int(number)))
         if stale and not path.is_dir():
             path.unlink()
+    rows = ["frame,file"] + [f"{i},{_frame_name(i)}" for i in range(count)]
     _write_text(out_dir / "frames.csv", rows, seed=cfg.seed)
 
 

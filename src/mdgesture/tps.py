@@ -21,6 +21,7 @@ Coordinates are normalized: pixel (0, 0) maps to (-1, -1) and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,22 @@ def _u_of_rsq(rsq, out=None):
     return u
 
 
+@functools.lru_cache(maxsize=8)
 def lattice_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The column coordinates x (W,) and row coordinates y (H,) of the
     normalized lattice: x_c = -1 + 2c/(W-1), so corners map to the
-    corners of [-1, 1]^2 exactly."""
+    corners of [-1, 1]^2 exactly.
+
+    Built once per size (a frame evaluates k grids on one lattice) and
+    returned read-only, since every caller shares the same arrays."""
     height = int(height)
     width = int(width)
     if height < 2 or width < 2:
         raise InvalidArgumentError("lattice needs height and width >= 2")
     x = -1.0 + 2.0 * np.arange(width, dtype=np.float64) / (width - 1)
     y = -1.0 + 2.0 * np.arange(height, dtype=np.float64) / (height - 1)
+    x.flags.writeable = False
+    y.flags.writeable = False
     return x, y
 
 

@@ -1,6 +1,9 @@
+import errno
+import os
 import shutil
 import struct
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -879,6 +882,35 @@ class TestRender:
         assert self.render_into(frames.parent, again, 6) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (again / "frames.csv").exists()
+
+    def test_failed_worker_exits_like_a_serial_render(self, rendered, tmp_path, capsys,
+                                                      monkeypatch):
+        """A frame write that fails in a forked worker's chunk ends the run
+        the way it ends a one-process run: exit 2 with the same message and
+        no frames.csv, with no child process left behind."""
+        _, frames = rendered
+        write = cli.write_pnm_file
+
+        def failing_write(path, frame, ws=None):
+            if Path(path).name == cli._frame_name(6):
+                raise OSError(errno.EIO, "injected write failure", str(path))
+            return write(path, frame, ws)
+
+        monkeypatch.setattr(cli, "write_pnm_file", failing_write)
+        outcomes = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            assert cli._worker_count(8) == len(cores)  # frame 6 is in the child's chunk
+            again = tmp_path / f"frames{len(cores)}"
+            code = self.render_into(frames.parent, again, 8)
+            err = capsys.readouterr().err.replace(str(again), "DIR")
+            assert not (again / "frames.csv").exists()
+            outcomes.append((code, err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (2, "error: [Errno 5] injected write failure: "
+                                  f"'{Path('DIR') / cli._frame_name(6)}'\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """The render loop: one code path with `warp`, no state carried between
-frames, and no image-sized allocation per frame once its workspace exists.
+frames, no image-sized allocation per frame once its workspace exists,
+and the same bytes from forked workers as from one process.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -97,3 +99,58 @@ def test_workspace_reused_across_sizes_of_transform_sets(rng, tmp_path, size):
         shared = write_pnm(cli._render_frame(transforms, img, 0.1, True, ws)[0])
         fresh = write_pnm(cli._render_frame(transforms, img, 0.1, True, Workspace())[0])
         assert shared == fresh
+
+
+def test_pooled_frames_equal_serial_frames(rng, tmp_path, monkeypatch):
+    """Two workers write the bytes one writes: every frame and frames.csv,
+    for an odd frame count split over the processes, with the flow
+    upsampled."""
+    cfg = PipelineConfig(softness=0.15)
+    ft = frame_transforms(rng, 5, 3, 4)
+    img = source_image(rng, 96, 80)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    written = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        cli._render_frames(ft, cfg, img, out, workers=workers)
+        assert len(forks) == workers - 1
+        written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written[1]) == [cli._frame_name(i) for i in range(5)] + ["frames.csv"]
+    assert written[2] == written[1]
+
+
+def test_one_frame_forks_nothing(rng, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-frame render forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ft = frame_transforms(rng, 1, 2, 3)
+    cli._render_frames(ft, PipelineConfig(), source_image(rng, 20, 16), tmp_path, workers=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cli._frame_name(0), "frames.csv"]
+
+
+@pytest.mark.parametrize("cores, frames, workers", [
+    (2, 40, 2), (2, 7, 1), (2, 1, 1), (16, 40, 10), (1, 400, 1),
+])
+def test_worker_count(monkeypatch, cores, frames, workers):
+    """One worker per usable core, each with at least FRAMES_PER_WORKER frames."""
+    assert cli.FRAMES_PER_WORKER == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert cli._worker_count(frames) == workers
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_one_worker_without_fork_or_affinity(monkeypatch, missing):
+    monkeypatch.delattr(os, missing, raising=False)
+    assert cli._worker_count(400) == 1

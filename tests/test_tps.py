@@ -12,6 +12,7 @@ from mdgesture.tps import (
     eval_tps,
     eval_tps_grid,
     identity_transform,
+    lattice_axes,
     normalized_lattice,
     solve_tps,
     solve_tps_batch,
@@ -241,6 +242,17 @@ class TestEval:
         expect = np.array([[eval_tps(t, lattice[r, c]) for c in range(11)]
                            for r in range(7)])
         assert np.array_equal(grid, expect)
+
+    def test_lattice_axes_built_once_and_read_only(self):
+        """Every grid of a frame shares one pair of axes, which no caller
+        can change under the others."""
+        x, y = lattice_axes(5, 7)
+        again = lattice_axes(5, 7)
+        assert again[0] is x and again[1] is y
+        assert x.shape == (7,) and y.shape == (5,)
+        assert x[[0, 3, 6]].tolist() == [-1.0, 0.0, 1.0]
+        with pytest.raises(ValueError):
+            y[0] = 0.0
 
     def test_grid_rejects_degenerate_sizes(self):
         t = identity_transform()
