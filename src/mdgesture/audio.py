@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, InvalidArgumentError
 from .motion import gaussian_smooth
@@ -24,6 +25,7 @@ from .rng import AUDIO_TAG, generator
 DEFAULT_WIN = 1024
 DEFAULT_HOP = 256
 MIN_BEAT_SPACING = 0.1
+BLOCK_SAMPLES = 1 << 16  # analysis samples per block of `onset_envelope`
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,10 @@ class AudioClip:
         s = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if s.size == 0:
             raise InvalidArgumentError("audio clip must hold at least one sample")
-        if not np.all(np.isfinite(s)):
+        lo, hi = s.min(), s.max()  # NaN and inf show in the extremes
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidArgumentError("audio samples must be finite")
-        if np.max(np.abs(s)) > 1.0:
+        if hi > 1.0 or lo < -1.0:
             raise InvalidArgumentError("audio samples must lie in [-1, 1]")
         rate = int(self.sample_rate)
         if rate <= 0:
@@ -101,6 +104,8 @@ def read_wav(data: bytes) -> AudioClip:
 
     Stereo is averaged to mono; samples are scaled by 1/32768. Unknown
     chunks are skipped. Raises FormatError naming the offending chunk.
+    The data chunk is read in place, so the one full-length array made
+    is the float64 samples.
     """
     if len(data) < 12 or data[:4] != b"RIFF":
         raise FormatError("missing RIFF header")
@@ -109,6 +114,7 @@ def read_wav(data: bytes) -> AudioClip:
         raise FormatError("RIFF size field does not match the file length")
     if data[8:12] != b"WAVE":
         raise FormatError("missing WAVE form type")
+    view = memoryview(data)
     pos = 12
     fmt = None
     raw = None
@@ -117,7 +123,7 @@ def read_wav(data: bytes) -> AudioClip:
             raise FormatError("truncated chunk header")
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         name = cid.decode("latin-1")
         if len(body) < size:
             raise FormatError(f"truncated '{name}' chunk")
@@ -144,12 +150,15 @@ def read_wav(data: bytes) -> AudioClip:
     channels, rate = fmt
     if len(raw) % (2 * channels) != 0:
         raise FormatError("'data' chunk length does not match the sample format")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    if samples.size == 0:
+    ints = np.frombuffer(raw, dtype="<i2")
+    if ints.size == 0:
         raise FormatError("'data' chunk holds no samples")
-    if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    return AudioClip(samples / 32768.0, rate)
+    if channels == 2:  # summed in float64 from the ints: exact, no stereo copy
+        samples = ints.reshape(-1, 2).mean(axis=1, dtype=np.float64)
+    else:
+        samples = ints.astype(np.float64)
+    samples /= 32768.0  # exact: a power of two
+    return AudioClip(samples, rate)
 
 
 def write_wav(clip: AudioClip) -> bytes:
@@ -176,6 +185,11 @@ def onset_envelope(clip: AudioClip, win: int = DEFAULT_WIN, hop: int = DEFAULT_H
     zero-padded by win/2 on both sides), so an energy rise at time t peaks
     within one hop of t. Each frame is Hann-windowed before the magnitude
     spectrum; the first frame's flux is 0 by convention.
+
+    Frames are analysed in blocks spanning at most BLOCK_SAMPLES samples
+    (at least one frame), so memory beyond the clip and the envelope does
+    not grow with the clip. Every step acts row by row, so the blocks
+    give the same bits as analysing all frames at once.
     """
     win, hop = int(win), int(hop)
     if win < 2 or (win & (win - 1)) != 0:
@@ -186,12 +200,24 @@ def onset_envelope(clip: AudioClip, win: int = DEFAULT_WIN, hop: int = DEFAULT_H
     if x.size < win:
         raise InvalidArgumentError("clip is shorter than one analysis window")
     n_frames = 1 + (x.size - 1) // hop
-    padded = np.pad(x, win // 2)
+    per_block = max(1, BLOCK_SAMPLES // max(win, hop))
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(win)[None, :]
-    mags = np.abs(np.fft.rfft(padded[idx] * window[None, :], axis=1))
-    flux = np.sum(np.maximum(mags[1:] - mags[:-1], 0.0), axis=1)
-    return np.concatenate([[0.0], flux])
+    flux = np.empty(n_frames)
+    prev = None  # the magnitudes of the frame before the block
+    for first in range(0, n_frames, per_block):
+        stop = min(first + per_block, n_frames)
+        start = first * hop - win // 2  # clip index of the span's sample 0
+        span = np.zeros((stop - 1 - first) * hop + win)
+        part = x[max(start, 0) : start + span.size]
+        span[max(-start, 0) : max(-start, 0) + part.size] = part
+        frames = sliding_window_view(span, win)[::hop] * window
+        mags = np.abs(np.fft.rfft(frames, axis=1))
+        if prev is None:
+            prev = mags[:1]  # frame 0 against itself: flux 0
+        before = np.concatenate([prev, mags[:-1]])
+        flux[first:stop] = np.sum(np.maximum(mags - before, 0.0), axis=1)
+        prev = mags[-1:]
+    return flux
 
 
 def detect_beats(envelope, hop: int, rate: int, threshold_ratio: float = 1.5):

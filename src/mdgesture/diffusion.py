@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -286,15 +286,21 @@ def total_loss(x0, x0_hat, lambda_vel: float = 1.0,
     return out
 
 
+@lru_cache(maxsize=1024)
 def time_embedding(t: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of an integer step, dim even."""
+    """Sinusoidal embedding of an integer step, dim even.
+
+    Built once per (t, dim) (every reverse step and training window asks
+    again) and returned read-only, since every caller shares the array."""
     dim = int(dim)
     if dim < 2 or dim % 2:
         raise InvalidArgumentError("embedding dim must be even and >= 2")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
     ang = float(t) * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    out = np.concatenate([np.sin(ang), np.cos(ang)])
+    out.flags.writeable = False
+    return out
 
 
 class MlpDenoiser(Denoiser):

@@ -1,10 +1,12 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdgesture.audio import (
+    BLOCK_SAMPLES,
     AudioClip,
     AudioCondition,
     beat_features,
@@ -19,7 +21,7 @@ from mdgesture.errors import FormatError, InvalidArgumentError
 
 def wav_bytes(values, rate, channels=1):
     """Independent WAV builder: interleaved int16 values, minimal layout."""
-    raw = b"".join(struct.pack("<h", int(v)) for v in values)
+    raw = np.asarray(values, dtype="<i2").tobytes()
     fmt = struct.pack(
         "<HHIIHH", 1, channels, rate, rate * 2 * channels, 2 * channels, 16
     )
@@ -128,6 +130,39 @@ class TestClipValidation:
         with pytest.raises(InvalidArgumentError):
             AudioClip(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        (-1.5, r"lie in \[-1, 1\]"), (1.0 + 2.0 ** -52, r"lie in \[-1, 1\]"),
+    ])
+    def test_non_finite_or_out_of_range_named(self, bad, message):
+        samples = np.array([0.0, -1.0, 1.0, bad, 0.5])
+        with pytest.raises(InvalidArgumentError, match=message):
+            AudioClip(samples, 8000)
+
+
+def one_shot_envelope(clip, win, hop):
+    """Reference: every analysis frame gathered from one padded copy and
+    transformed in one call."""
+    x = clip.samples
+    n_frames = 1 + (x.size - 1) // hop
+    padded = np.pad(x, win // 2)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    idx = hop * np.arange(n_frames)[:, None] + np.arange(win)[None, :]
+    mags = np.abs(np.fft.rfft(padded[idx] * window[None, :], axis=1))
+    flux = np.sum(np.maximum(mags[1:] - mags[:-1], 0.0), axis=1)
+    return np.concatenate([[0.0], flux])
+
+
+def block_cases():
+    """(win, hop, frames) around the block boundaries: one frame, a block
+    minus one, a block, a block plus one and three blocks plus five."""
+    for win, hop in [(1024, 256), (1024, 1024), (1024, 3000), (2, 1), (2, 3),
+                     (4096, 1024), (4096, 4096)]:
+        per = max(1, BLOCK_SAMPLES // max(win, hop))
+        for frames in sorted({1, per - 1, per, per + 1, 3 * per + 5}):
+            if frames >= 2 or hop >= win:  # one frame needs hop >= win
+                yield win, hop, frames
+
 
 class TestOnsetEnvelope:
     def test_silence_all_zero(self):
@@ -174,6 +209,55 @@ class TestOnsetEnvelope:
     def test_non_power_of_two_win(self):
         with pytest.raises(InvalidArgumentError):
             onset_envelope(AudioClip(np.zeros(4096), 16000), win=1000)
+
+    @pytest.mark.parametrize("win, hop, frames", list(block_cases()))
+    def test_blocks_equal_one_shot(self, win, hop, frames, rng):
+        n = max(win, (frames - 1) * hop + 1 + (hop - 1) // 2)
+        clip = AudioClip(rng.uniform(-1.0, 1.0, size=n), 16000)
+        env = onset_envelope(clip, win, hop)
+        assert env.shape == (frames,)
+        assert env.tobytes() == one_shot_envelope(clip, win, hop).tobytes()
+
+    def test_stereo_wav_equals_one_shot(self, rng):
+        ints = rng.integers(-32768, 32768, size=(3 * BLOCK_SAMPLES // 4 + 77, 2))
+        clip = read_wav(wav_bytes(ints.ravel(), 16000, channels=2))
+        assert np.array_equal(clip.samples, ints.sum(axis=1) / 65536.0)
+        env = onset_envelope(clip, 1024, 256)
+        assert env.size > 3 * (BLOCK_SAMPLES // 1024)
+        assert env.tobytes() == one_shot_envelope(clip, 1024, 256).tobytes()
+
+
+def traced_peak(fn, *args):
+    """fn's result and the peak of memory traced while it ran (numpy
+    reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A 120 s, 16 kHz clip: 1.92 M samples, 15.4 MB as float64."""
+
+    N = 120 * 16000
+
+    @pytest.mark.parametrize("win, hop", [(1024, 256), (2, 1)])
+    def test_envelope_temporaries_do_not_grow_with_clip(self, win, hop, rng):
+        clip = AudioClip(rng.uniform(-1.0, 1.0, size=self.N), 16000)
+        env, peak = traced_peak(onset_envelope, clip, win, hop)
+        # the returned envelope plus a few block-sized arrays, whatever
+        # the clip's length
+        assert peak <= env.nbytes + 8 * (8 * BLOCK_SAMPLES)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_read_wav_makes_one_float_copy(self, channels, rng):
+        ints = rng.integers(-32768, 32768, size=self.N * channels)
+        data = wav_bytes(ints, 16000, channels)
+        clip, peak = traced_peak(read_wav, data)
+        assert clip.samples.shape == (self.N,)
+        assert peak <= clip.samples.nbytes + (128 << 10)
 
 
 class TestDetectBeats:

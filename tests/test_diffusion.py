@@ -311,6 +311,18 @@ class TestMlpDenoiser:
         assert e.shape == (8,)
         assert np.all(np.abs(e) <= 1.0)
 
+    def test_embedding_built_once_and_read_only(self):
+        """Every reverse step and training window at one step shares one
+        embedding, which no caller can change under the others."""
+        e = time_embedding(9, 6)
+        assert time_embedding(9, 6) is e
+        assert time_embedding(np.int64(9), 6) is e
+        freqs = np.exp(-math.log(10000.0) * np.arange(3) / 2)
+        assert e.tobytes() == np.concatenate([np.sin(9.0 * freqs),
+                                              np.cos(9.0 * freqs)]).tobytes()
+        with pytest.raises(ValueError):
+            e[0] = 0.0
+
     def test_gradient_check(self, rng):
         model = MlpDenoiser(4, 3, hidden=12, embed=4, seed=3)
         x0 = rng.normal(size=(6, 4))
