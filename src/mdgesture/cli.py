@@ -118,8 +118,8 @@ def _render_frame(transforms, src_img, softness, background, ws):
         h = w = FLOW_RESOLUTION
     else:
         h, w = height, width
-    grids = deform_grids(transforms, h, w, ws)
-    field = combine_flow(grids, transforms, softness, background, ws)
+    grids, nearest_sq = deform_grids(transforms, h, w, ws)
+    field = combine_flow(grids, nearest_sq, softness, background, ws)
     if (h, w) != (height, width):
         field = upsample_flow(field, height, width, ws)
     return warp_image(src_img, field, ws), field
@@ -219,16 +219,17 @@ def _render_source(path, cfg: PipelineConfig, n_channels: int):
 
 
 def _frame_transforms(motion, seed_vec, cfg) -> list:
-    """Every frame's k transforms, solved one frame per batch before any
-    artifact is written."""
-    seed_pts = unflatten(seed_vec[None, :], cfg.k, cfg.n)[0]
-    frames = []
-    for i, pts in enumerate(unflatten(motion, cfg.k, cfg.n)):
-        try:
-            frames.append(solve_tps_batch(seed_pts, pts))
-        except SingularSystemError as e:
-            raise SingularSystemError(f"frame {i}, transform {e.index}: {e}") from e
-    return frames
+    """Every frame's k transforms, solved in one batch over all frames
+    before any artifact is written."""
+    k, n = cfg.k, cfg.n
+    seed_pts = unflatten(seed_vec[None, :], k, n)[0]
+    pts = unflatten(motion, k, n).reshape(-1, n, 2)
+    try:
+        solved = solve_tps_batch(np.tile(seed_pts, (len(pts) // k, 1, 1)), pts)
+    except SingularSystemError as e:
+        raise SingularSystemError(
+            f"frame {e.index // k}, transform {e.index % k}: {e}") from e
+    return [solved[i:i + k] for i in range(0, len(solved), k)]
 
 
 def _frame_name(i: int) -> str:

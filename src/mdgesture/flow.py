@@ -8,6 +8,10 @@ pixel, the normalized coordinate to sample from in the source image;
 warping is backward bilinear interpolation, and pixels whose sample point
 falls outside [-1, 1]^2 are occluded (filled with black).
 
+A frame's TPS work is one pass (see `tps`): `deform_grids` evaluates its
+k transforms as one block, with each one's squared distance to its
+nearest anchor, and `combine_flow` blends from those distances.
+
 Every layer takes its arrays from a `Workspace` (see `workspace`): a
 render makes one, sized by its first frame, and passes it to every layer
 of every frame, so frames reuse the same buffers. A layer's result is a
@@ -76,69 +80,58 @@ def identity_flow(height: int, width: int) -> FlowField:
 
 
 def deform_grids(transforms, height: int, width: int,
-                 ws: Workspace | None = None) -> list[np.ndarray]:
-    """Evaluate every transform on the pixel lattice.
+                 ws: Workspace | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Evaluate every transform on the pixel lattice; returns the K grids,
+    (H, W, 2) views of one (K, 2, H, W) block, and the (K, H, W) squared
+    distances to each transform's nearest anchor, for `combine_flow`.
 
-    Grid k is an (H, W, 2) view of plane k of one (K, 2, H, W) block.
+    Each run of consecutive transforms with one anchor count is one
+    `eval_tps_grid` pass, so a rendered frame (all n anchors) is one.
     """
     transforms = list(transforms)
     if not transforms:
         raise InvalidArgumentError("need at least one transform")
     ws = Workspace() if ws is None else ws
-    block = ws.get("flow.grids", (len(transforms), 2, height, width))
-    return [eval_tps_grid(t, height, width, out=planes.transpose(1, 2, 0), ws=ws)
-            for t, planes in zip(transforms, block)]
+    k = len(transforms)
+    block = ws.get("flow.grids", (k, 2, height, width))
+    nearest = ws.get("flow.nearest", (k, height, width))
+    cuts = [j for j in range(1, k)
+            if transforms[j].n_controls != transforms[j - 1].n_controls]
+    for a, b in zip([0] + cuts, cuts + [k]):
+        eval_tps_grid(transforms[a:b], height, width, block[a:b], nearest[a:b], ws)
+    return list(block.transpose(0, 2, 3, 1)), nearest
 
 
-def combine_flow(grids, transforms, softness: float = 0.1,
+def combine_flow(grids, nearest_sq, softness: float = 0.1,
                  background: bool = False, ws: Workspace | None = None) -> FlowField:
     """Blend per-transform grids into one flow field.
 
-    grids: K arrays (H, W, 2), grid k evaluated from transforms[k]. Pixel
-    weights are softmax(-d_k / softness) where d_k is the distance to the
-    nearest origin-space anchor (`controls_d`) of transform k. With
-    `background`, an identity grid joins the blend with distance
-    max_k d_k, so pixels far from every anchor stay put.
+    grids: K arrays (H, W, 2); nearest_sq: (K, H, W), the squared
+    distance to the nearest origin-space anchor of grid k's transform, as
+    `deform_grids` returns them. Pixel weights are softmax(-d_k /
+    softness), d_k = sqrt(nearest_sq[k]). With `background`, an identity
+    grid joins the blend with distance max_k d_k, so pixels far from
+    every anchor stay put.
     """
     grids = [np.asarray(g, dtype=np.float64) for g in grids]
-    control_sets = [t.controls_d for t in transforms]
-    if not grids or len(grids) != len(control_sets):
-        raise InvalidArgumentError("grids and transforms must pair up")
-    shape = grids[0].shape
-    if any(g.shape != shape for g in grids):
-        raise InvalidArgumentError("all grids must share one shape")
-    if len(shape) != 3 or shape[2] != 2:
-        raise InvalidArgumentError("grids must be (H, W, 2)")
+    shape = grids[0].shape if grids else ()
+    if len(shape) != 3 or shape[2] != 2 or any(g.shape != shape for g in grids):
+        raise InvalidArgumentError("grids must be K >= 1 arrays of one (H, W, 2) shape")
+    if np.shape(nearest_sq) != (len(grids),) + shape[:2]:
+        raise InvalidArgumentError("nearest_sq must be (K, H, W) for K grids of (H, W, 2)")
     if not (np.isfinite(softness) and softness >= MIN_SOFTNESS):
         raise InvalidArgumentError(
             f"softness must be finite and >= {MIN_SOFTNESS:g}, got {softness}"
         )
     ws = Workspace() if ws is None else ws
 
-    # The lattice is separable, so squared distances are sums of a column
-    # term and a row term. Ragged sets are padded by repeating their last
-    # anchor, which leaves every minimum unchanged.
     height, width = shape[:2]
     k = len(grids)
-    x, y = lattice_axes(height, width)
-    n_max = max(c.shape[0] for c in control_sets)
-    anchors = np.stack([
-        np.concatenate([c, np.repeat(c[-1:], n_max - c.shape[0], axis=0)])
-        for c in control_sets
-    ])  # (K, N, 2)
-    dx = x[None, None, :] - anchors[:, :, 0, None]  # (K, N, W)
-    dy = y[None, None, :] - anchors[:, :, 1, None]  # (K, N, H)
-    sq_x = dx * dx
-    sq_y = dy * dy
     # one plane per blended grid: distances, then logits, then weights
     weights = ws.get("flow.weights", (k + background, height, width))
-    nearest = weights[:k]
-    sq = ws.get("flow.sq", (n_max, height, width))
-    for sx, sy, near in zip(sq_x, sq_y, nearest):
-        np.min(np.add(sx[:, None, :], sy[:, :, None], out=sq), axis=0, out=near)
-    np.sqrt(nearest, out=nearest)
+    np.sqrt(nearest_sq, out=weights[:k])
     if background:
-        np.max(nearest, axis=0, out=weights[k])
+        np.max(weights[:k], axis=0, out=weights[k])
 
     peak = ws.get("flow.peak", (height, width))
     weights /= -softness  # -d / softness, to the bit
@@ -155,6 +148,7 @@ def combine_flow(grids, transforms, softness: float = 0.1,
     for w_k, g in zip(weights, grids):
         out += np.multiply(w_k, g.transpose(2, 0, 1), out=term)
     if background:
+        x, y = lattice_axes(height, width)
         np.multiply(weights[k], x[None, :], out=term[0])
         np.multiply(weights[k], y[:, None], out=term[1])
         out += term

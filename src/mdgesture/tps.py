@@ -17,6 +17,12 @@ faster than the affine part grows.
 
 Coordinates are normalized: pixel (0, 0) maps to (-1, -1) and
 (W-1, H-1) to (1, 1), so transforms are resolution-independent.
+
+One core evaluates k transforms that share an anchor count in one pass:
+each anchor's squared radii for all k form one (k, H, W) block, whose
+minimum over the anchors (the blend in `flow` weighs by it) is kept
+before the radial term overwrites it. A point is a 1x1 lattice, so a
+point, a grid and a frame's k grids get the same operations in order.
 """
 
 from __future__ import annotations
@@ -114,6 +120,13 @@ class TpsTransform:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "controls_d", c)
 
+    @classmethod
+    def computed(cls, affine, weights, controls_d) -> TpsTransform:
+        """Wrap a solved system's float64 arrays without checking them again."""
+        t = object.__new__(cls)
+        t.__dict__.update(affine=affine, weights=weights, controls_d=controls_d)
+        return t
+
     @property
     def n_controls(self) -> int:
         return self.controls_d.shape[0]
@@ -201,9 +214,10 @@ def _solve(src, dst, regularization: float) -> list[TpsTransform]:
                if np.isfinite(residual[i]) else "TPS solution is not finite")
         raise SingularSystemError(msg, index=i)
 
-    # theta's rows n.. hold the affine coefficients of (1, x, y)
+    # theta's rows n.. hold the affine coefficients of (1, x, y); dst was
+    # checked on entry, and the residual check refuses a non-finite theta
     affine = theta[:, [n + 1, n + 2, n]].transpose(0, 2, 1)
-    return [TpsTransform(a, w, c)
+    return [TpsTransform.computed(a, w, c)
             for a, w, c in zip(affine, theta[:, :n], dst.copy())]
 
 
@@ -216,33 +230,36 @@ def identity_transform() -> TpsTransform:
     )
 
 
-def _eval_points(t: TpsTransform, x: np.ndarray, y: np.ndarray, out: np.ndarray,
-                 ws: Workspace) -> np.ndarray:
-    # Shared evaluation core, writing into `out` (..., 2). x and y
-    # broadcast against each other: one element each for a point, a row
-    # x[None, :] and a column y[:, None] for the lattice, so the x and y
-    # terms are formed on the axes before they meet. Every anchor's
-    # squared distance, radial term and weighted term is formed in one
-    # (N, ...) block; the radial sum is an explicit loop over control
-    # points so the accumulation order is identical for single points and
-    # whole grids (matmul would reorder it by shape).
-    a = t.affine
-    c = t.controls_d
-    out_x, out_y = out[..., 0], out[..., 1]
-    np.add(a[0, 2] + a[0, 0] * x, a[0, 1] * y, out=out_x)
-    np.add(a[1, 2] + a[1, 0] * x, a[1, 1] * y, out=out_y)
-    column = (-1,) + (1,) * x.ndim
-    dx = x - c[:, 0].reshape(column)
-    dy = y - c[:, 1].reshape(column)
-    block = (c.shape[0],) + out_x.shape
-    rsq = np.add(dx * dx, dy * dy, out=ws.get("tps.rsq", block))
+def _eval_block(transforms, x: np.ndarray, y: np.ndarray, planes: np.ndarray,
+                nearest: np.ndarray, ws: Workspace) -> None:
+    # The core: on the lattice of axes x (W,) and y (H,), writes transform
+    # j's x and y planes into planes[j] (2, H, W) and each point's squared
+    # distance to its nearest anchor into nearest[j]. x and y terms are
+    # formed on the axes before they meet; anchors are walked one at a
+    # time over the (k, H, W) block, so every element adds its radial
+    # terms in anchor order whatever k, H and W are (matmul would not).
+    a = np.stack([t.affine for t in transforms])[..., None, None]  # (k, 2, 3, 1, 1)
+    w = np.stack([t.weights for t in transforms])[..., None, None]  # (k, N, 2, 1, 1)
+    c = np.stack([t.controls_d for t in transforms])[..., None, None]
+    y = y[:, None]
+    np.copyto(planes, a[:, :, 2] + a[:, :, 0] * x)
+    planes += a[:, :, 1] * y
+    u = ws.get("tps.u", nearest.shape)
+    term = ws.get("tps.term", planes.shape)
+    # an anchor's squared radii are spent before its terms are formed, so
+    # they share the terms' buffer; the first anchor's go to `nearest`
+    rsq = term.reshape((2,) + nearest.shape)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = _u_of_rsq(rsq, out=ws.get("tps.u", block))
-    for out_d, w_d in zip((out_x, out_y), t.weights.T):
-        terms = np.multiply(w_d.reshape(column), u, out=rsq)
-        for term in terms:
-            out_d += term
-    return out
+        for i in range(c.shape[1]):
+            dx = x - c[:, i, 0]  # (k, 1, W)
+            dy = y - c[:, i, 1]  # (k, H, 1)
+            r = rsq if i else nearest
+            np.copyto(r, dx * dx)
+            r += dy * dy
+            if i:
+                np.minimum(nearest, rsq, out=nearest)
+            _u_of_rsq(r, out=u)
+            planes += np.multiply(w[:, i], u[:, None], out=term)
 
 
 def eval_tps(t: TpsTransform, p) -> np.ndarray:
@@ -250,23 +267,31 @@ def eval_tps(t: TpsTransform, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise InvalidArgumentError("p must be a finite 2-vector")
-    return _eval_points(t, p[:1], p[1:], np.empty((1, 2)), Workspace())[0]
+    planes = np.empty((1, 2, 1, 1))
+    _eval_block([t], p[:1], p[1:], planes, np.empty((1, 1, 1)), Workspace())
+    return planes[0, :, 0, 0]
 
 
-def eval_tps_grid(t: TpsTransform, height: int, width: int, out=None,
-                  ws: Workspace | None = None) -> np.ndarray:
-    """Evaluate on the normalized pixel lattice; returns (H, W, 2).
+def eval_tps_grid(transforms, height: int, width: int, out=None, nearest=None,
+                  ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate k transforms with one anchor count on the normalized
+    pixel lattice in one pass; returns (grids, nearest_sq).
 
-    Bit-identical to calling eval_tps at every lattice point. The result
-    is written into `out` when given, an (H, W, 2) float64 array (x and
-    y planes each contiguous is fastest, the layout of a fresh result);
-    scratch comes from `ws`.
+    grids (k, H, W, 2): grid j is bit-identical to eval_tps of
+    transforms[j] at every lattice point. nearest_sq (k, H, W): squared
+    distance to the nearest anchor (`controls_d`) of transforms[j]. They
+    are written into `out` (k, 2, H, W) and `nearest` (k, H, W) when
+    given; scratch comes from `ws`.
     """
+    transforms = list(transforms)
+    if len({t.n_controls for t in transforms}) != 1:
+        raise InvalidArgumentError("need transforms, all with one anchor count")
     x, y = lattice_axes(height, width)
-    if out is None:
-        out = np.empty((2, y.size, x.size)).transpose(1, 2, 0)
-    return _eval_points(t, x[None, :], y[:, None], out,
-                        Workspace() if ws is None else ws)
+    shape = (len(transforms), y.size, x.size)
+    out = np.empty(shape[:1] + (2,) + shape[1:]) if out is None else out
+    nearest = np.empty(shape) if nearest is None else nearest
+    _eval_block(transforms, x, y, out, nearest, Workspace() if ws is None else ws)
+    return out.transpose(0, 2, 3, 1), nearest
 
 
 def bending_energy(t: TpsTransform) -> float:

@@ -151,10 +151,10 @@ def test_2_flow_warp(capsys):
             dst = g.uniform(-0.8, 0.8, size=(4, 2))
             transforms.append(solve_tps(dst + 0.2 * g.normal(size=(4, 2)), dst))
         background = i % 2 == 0
-        grids = deform_grids(transforms, 12, 12)
+        grids, nearest_sq = deform_grids(transforms, 12, 12)
         field = combine_flow(
             grids,
-            transforms,
+            nearest_sq,
             softness=0.05 + 0.2 * g.random(),
             background=background,
         )

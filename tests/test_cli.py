@@ -621,6 +621,38 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: frame 0, transform 1: ")
         assert not out.exists() and not frames.exists()
 
+    def test_singular_later_frame_named_and_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the whole motion is solved as one batch of frames * k systems:
+        # a duplicate anchor in frame 3's transform 1 is system 3 * 2 + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RENDER_CFG.replace("k = 1\nn = 4", "k = 2\nn = 3"))
+        model = MlpDenoiser(12, 2, hidden=4, embed=4)
+        formats.write_denoiser(tmp_path / "model.mdnn", model)
+        formats.write_audio_features(
+            tmp_path / "f.mdaf", AudioCondition(np.zeros((6, 2)), 25)
+        )
+        seed = np.array([[-0.5, -0.5, 0.5, -0.5, 0.0, 0.5, 0.5, 0.5, -0.5, 0.5, 0.0, -0.5]])
+        formats.write_sequence(tmp_path / "s.mdsq", MotionSequence(seed))
+        motion = np.repeat(seed, 6, axis=0)
+        motion[:, :6] += 0.01 * np.arange(6)[:, None]
+        motion[3, 8:10] = motion[3, 6:8]
+        monkeypatch.setattr(cli, "generate_long",
+                            lambda *args: (MotionSequence(motion.copy()), []))
+        src = tmp_path / "src.ppm"
+        src.write_bytes(write_pnm(from_bytes_array(np.zeros((4, 4, 3), np.uint8))))
+        out, scores, frames = (tmp_path / n for n in ("gen.mdsq", "s.csv", "frames"))
+        assert cli.main(
+            ["generate", "--config", str(cfg),
+             "--params", str(tmp_path / "model.mdnn"),
+             "--features", str(tmp_path / "f.mdaf"),
+             "--seed-motion", str(tmp_path / "s.mdsq"),
+             "--out", str(out), "--scores", str(scores),
+             "--render-src", str(src), "--render-dir", str(frames)]
+        ) == 4
+        assert capsys.readouterr().err.startswith("error: frame 3, transform 1: ")
+        assert not out.exists() and not scores.exists() and not frames.exists()
+
 
 def frame_motion(rng, frames, k, n):
     """A seed frame and `frames` frames of k groups of n keypoints near it."""

@@ -21,7 +21,13 @@ from mdgesture.ppm import (
     to_bytes_array,
     write_pnm,
 )
-from mdgesture.tps import TpsTransform, identity_transform, normalized_lattice, solve_tps
+from mdgesture.tps import (
+    TpsTransform,
+    eval_tps_grid,
+    identity_transform,
+    normalized_lattice,
+    solve_tps,
+)
 
 from conftest import random_pairs
 
@@ -124,7 +130,7 @@ class TestWarp:
     def test_linearity(self, rng):
         src, dst = random_pairs(rng, 5)
         t = solve_tps(src, dst)
-        flow = combine_flow(deform_grids([t], 16, 16), [t])
+        flow = combine_flow(*deform_grids([t], 16, 16))
         i1 = random_image(rng, 16, 16)
         i2 = random_image(rng, 16, 16)
         a, b = 0.3, 0.6
@@ -198,14 +204,14 @@ class TestWarpReference:
 class TestCombine:
     def test_single_grid_passthrough(self):
         t = shifted_transform(0.1, -0.2)
-        grids = deform_grids([t], 12, 12)
-        flow = combine_flow(grids, [t])
+        grids, nearest_sq = deform_grids([t], 12, 12)
+        flow = combine_flow(grids, nearest_sq)
         assert np.array_equal(flow.map, grids[0])
 
     def test_two_identical_transforms(self):
         t = shifted_transform(0.05, 0.05)
-        grids = deform_grids([t, t], 10, 10)
-        flow = combine_flow(grids, [t, t])
+        grids, nearest_sq = deform_grids([t, t], 10, 10)
+        flow = combine_flow(grids, nearest_sq)
         assert np.max(np.abs(flow.map - grids[0])) < 1e-9
 
     def test_equidistant_pixel_is_midpoint(self):
@@ -214,15 +220,15 @@ class TestCombine:
         g2 = lattice + np.array([-0.3, 0.2])
         c1 = np.array([[-0.5, 0.0]])
         c2 = np.array([[0.5, 0.0]])
-        flow = combine_flow([g1, g2], [anchored(c1), anchored(c2)])
+        flow = combine_flow([g1, g2], deform_grids([anchored(c1), anchored(c2)], 9, 9)[1])
         mid_col = 4  # lattice x == 0 there, equidistant from both anchors
         expect = 0.5 * (g1[:, mid_col] + g2[:, mid_col])
         assert np.max(np.abs(flow.map[:, mid_col] - expect)) < 1e-12
 
     def test_identity_composition(self):
         ts = [identity_transform() for _ in range(3)]
-        grids = deform_grids(ts, 8, 8)
-        flow = combine_flow(grids, ts)
+        grids, nearest_sq = deform_grids(ts, 8, 8)
+        flow = combine_flow(grids, nearest_sq)
         assert np.max(np.abs(flow.map - normalized_lattice(8, 8))) < 1e-9
 
     def test_convexity_bounds(self, rng):
@@ -233,9 +239,9 @@ class TestCombine:
                 src, dst = random_pairs(rng, 4)
                 ts.append(solve_tps(src, dst))
             background = bool(rng.integers(0, 2))
-            grids = deform_grids(ts, 8, 8)
+            grids, nearest_sq = deform_grids(ts, 8, 8)
             flow = combine_flow(
-                grids, ts,
+                grids, nearest_sq,
                 softness=float(rng.uniform(0.05, 0.5)), background=background,
             )
             hull = grids + ([normalized_lattice(8, 8)] if background else [])
@@ -247,43 +253,61 @@ class TestCombine:
     def test_determinism(self, rng):
         src, dst = random_pairs(rng, 5)
         t = solve_tps(src, dst)
-        grids = deform_grids([t, identity_transform()], 16, 16)
-        ts = [t, identity_transform()]
-        f1 = combine_flow(grids, ts, background=True)
-        f2 = combine_flow(grids, ts, background=True)
+        grids, nearest_sq = deform_grids([t, identity_transform()], 16, 16)
+        f1 = combine_flow(grids, nearest_sq, background=True)
+        f2 = combine_flow(grids, nearest_sq, background=True)
         assert np.array_equal(f1.map, f2.map)
 
     def test_shape_mismatch_rejected(self):
         t = identity_transform()
-        g1 = deform_grids([t], 8, 8)[0]
-        g2 = deform_grids([t], 9, 8)[0]
+        (g1,), near = deform_grids([t], 8, 8)
+        (g2,), _ = deform_grids([t], 9, 8)
         with pytest.raises(InvalidArgumentError):
-            combine_flow([g1, g2], [t, t])
+            combine_flow([g1, g2], np.concatenate([near, near]))
+
+    def test_distances_must_pair_with_grids(self):
+        grids, nearest_sq = deform_grids([identity_transform()] * 2, 8, 8)
+        for bad in (nearest_sq[:1], nearest_sq[:, :7], nearest_sq[0]):
+            with pytest.raises(InvalidArgumentError, match="nearest_sq"):
+                combine_flow(grids, bad)
+        with pytest.raises(InvalidArgumentError):
+            combine_flow([], nearest_sq[:0])
 
     @pytest.mark.parametrize("softness", [0.0, -0.1, 1e-310, 1e-7, np.inf, np.nan])
     def test_bad_softness_rejected_before_arithmetic(self, softness):
         t = identity_transform()
-        grids = deform_grids([t], 8, 8)
+        grids, nearest_sq = deform_grids([t], 8, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match="finite and >="):
-                combine_flow(grids, [t], softness)
+                combine_flow(grids, nearest_sq, softness)
 
     def test_smallest_softness_accepted(self):
         t = identity_transform()
-        grids = deform_grids([t, t], 8, 8)
-        ts = [t, anchored(t.controls_d + 0.5)]
+        grids, _ = deform_grids([t, t], 8, 8)
+        _, nearest_sq = deform_grids([t, anchored(t.controls_d + 0.5)], 8, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flow = combine_flow(grids, ts, 1e-6, background=True)
+            flow = combine_flow(grids, nearest_sq, 1e-6, background=True)
         assert np.array_equal(flow.map, grids[0])
 
     @pytest.mark.parametrize("bad", [np.zeros((0, 2)), np.zeros((3, 3)),
                                      np.array([[0.0, np.nan]])])
     def test_bad_control_set_rejected(self, bad):
-        # combine_flow reads its anchors from transforms, which refuse them
+        # the blend's distances come from transforms, which refuse them
         with pytest.raises(InvalidArgumentError):
             TpsTransform(np.eye(2, 3), np.zeros((bad.shape[0], 2)), bad)
+
+
+def reference_nearest_sq(h, w, control_sets):
+    """Squared distance from every lattice point to every anchor of each
+    set on the full lattice, then the minimum over the set: (K, H, W)."""
+    q = normalized_lattice(h, w)
+    out = []
+    for c in control_sets:
+        diff = q[:, :, None, :] - c[None, None, :, :]
+        out.append(np.min(np.sum(diff * diff, axis=3), axis=2))
+    return np.stack(out)
 
 
 def reference_combine(grids, control_sets, softness, background):
@@ -291,10 +315,7 @@ def reference_combine(grids, control_sets, softness, background):
     every anchor, min, sqrt, softmax, then a sequential weighted sum."""
     h, w = grids[0].shape[:2]
     q = normalized_lattice(h, w)
-    dists = []
-    for c in control_sets:
-        diff = q[:, :, None, :] - c[None, None, :, :]
-        dists.append(np.sqrt(np.min(np.sum(diff * diff, axis=3), axis=2)))
+    dists = list(np.sqrt(reference_nearest_sq(h, w, control_sets)))
     stack = list(grids)
     if background:
         dists.append(np.max(np.stack(dists), axis=0))
@@ -322,10 +343,47 @@ class TestCombineReference:
         sets[2][:2] = [[-1.4, 0.3], [1.2, 1.7]]
         grids = [normalized_lattice(h, w) + rng.normal(0.0, 0.1, size=(h, w, 2))
                  for _ in sets]
-        flow = combine_flow(grids, [anchored(c) for c in sets], softness,
-                            background=background)
+        _, nearest_sq = deform_grids([anchored(c) for c in sets], h, w)
+        flow = combine_flow(grids, nearest_sq, softness, background=background)
         expect = reference_combine(grids, sets, softness, background)
         assert np.array_equal(flow.map, expect)
+
+
+class TestDeform:
+    @pytest.mark.parametrize("shape", [(2, 2), (17, 30), (64, 64)])
+    def test_nearest_sq_is_brute_force_minimum(self, rng, shape):
+        # one anchor exactly on a lattice point, others outside [-1, 1]^2
+        h, w = shape
+        sets = [rng.uniform(-1.0, 1.0, size=(5, 2)) for _ in range(3)]
+        sets[0][2] = normalized_lattice(h, w)[h - 1, w // 2]
+        sets[1][:2] = [[-1.4, 0.3], [1.2, 1.7]]
+        ts = [solve_tps(c + 0.05 * rng.normal(size=c.shape), c) for c in sets]
+        _, nearest_sq = deform_grids(ts, h, w)
+        assert np.array_equal(nearest_sq, reference_nearest_sq(h, w, sets))
+        assert nearest_sq[0, h - 1, w // 2] == 0.0
+
+    def test_ragged_counts_equal_one_transform_at_a_time(self, rng):
+        # counts 3, 7, 7, 3: three runs of one anchor count each
+        ts = [solve_tps(*random_pairs(rng, n)) for n in (3, 7, 7, 3)]
+        grids, nearest_sq = deform_grids(ts, 9, 13)
+        assert len(grids) == 4 and nearest_sq.shape == (4, 9, 13)
+        for t, grid, near in zip(ts, grids, nearest_sq):
+            (one,), (one_near,) = eval_tps_grid([t], 9, 13)
+            assert np.array_equal(grid, one)
+            assert np.array_equal(near, one_near)
+        assert np.array_equal(nearest_sq,
+                              reference_nearest_sq(9, 13, [t.controls_d for t in ts]))
+
+    def test_one_pass_per_run_of_anchor_counts(self, rng, monkeypatch):
+        from mdgesture import flow
+
+        calls = []
+        real = flow.eval_tps_grid
+        monkeypatch.setattr(flow, "eval_tps_grid",
+                            lambda ts, *a, **kw: calls.append(len(ts)) or real(ts, *a, **kw))
+        deform_grids([solve_tps(*random_pairs(rng, 5)) for _ in range(20)], 8, 8)
+        deform_grids([solve_tps(*random_pairs(rng, n)) for n in (4, 4, 6)], 8, 8)
+        assert calls == [20, 2, 1]
 
 
 class TestMasks:

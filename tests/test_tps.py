@@ -21,6 +21,11 @@ from mdgesture.tps import (
 from conftest import random_pairs
 
 
+def grid_of(t, height, width):
+    """One transform's (H, W, 2) grid, as a pass of one."""
+    return eval_tps_grid([t], height, width)[0][0]
+
+
 def oracle_eval(t, p):
     """Plain-python evaluation of the transform, independent of the
     package's vectorized path."""
@@ -34,6 +39,25 @@ def oracle_eval(t, p):
         ox += wx * u
         oy += wy * u
     return np.array([ox, oy])
+
+
+def reference_grid(t, height, width):
+    """One transform on the full lattice, in the order every evaluation
+    keeps: (a02 + a00 x) + a01 y, then w_i U(r_i) added anchor by anchor,
+    with r_i^2 = dx dx + dy dy."""
+    q = normalized_lattice(height, width)
+    x, y = q[..., 0], q[..., 1]
+    a = t.affine
+    out = np.stack([(a[d, 2] + a[d, 0] * x) + a[d, 1] * y for d in (0, 1)], axis=-1)
+    for (wx, wy), (cx, cy) in zip(t.weights, t.controls_d):
+        dx, dy = x - cx, y - cy
+        rsq = dx * dx + dy * dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.log(rsq) * rsq
+        u[rsq == 0.0] = 0.0
+        out[..., 0] += wx * u
+        out[..., 1] += wy * u
+    return out
 
 
 def reference_solve(src, dst, regularization):
@@ -167,6 +191,16 @@ class TestSolveBitIdentity:
             assert np.array_equal(t.affine, one.affine)
             assert np.array_equal(t.controls_d, one.controls_d)
 
+    def test_solved_transform_passes_its_own_checks(self, rng):
+        """Solves skip the constructor's checks; what they build must be
+        what the checked constructor accepts and keeps."""
+        t = solve_tps_batch(*(a[None] for a in random_pairs(rng, 6)))[0]
+        checked = TpsTransform(t.affine, t.weights, t.controls_d)
+        for name in ("affine", "weights", "controls_d"):
+            a, b = getattr(t, name), getattr(checked, name)
+            assert a.dtype == np.float64 and np.isfinite(a).all()
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_batch_names_the_singular_system(self, rng):
         src, dst = random_pairs(rng, 4)
         bad = dst.copy()
@@ -204,20 +238,20 @@ class TestEval:
 
     def test_grid_identity_is_lattice(self):
         t = identity_transform()
-        grid = eval_tps_grid(t, 4, 4)
+        grid = grid_of(t, 4, 4)
         assert np.allclose(grid, normalized_lattice(4, 4), atol=1e-12)
 
     def test_grid_translation(self):
         dst = square_points()
         t = solve_tps(dst + np.array([0.2, -0.1]), dst)
-        grid = eval_tps_grid(t, 4, 4)
+        grid = grid_of(t, 4, 4)
         expect = normalized_lattice(4, 4) + np.array([0.2, -0.1])
         assert np.allclose(grid, expect, atol=1e-9)
 
     def test_grid_bit_identical_to_loop(self, rng):
         src, dst = random_pairs(rng, 6)
         t = solve_tps(src, dst)
-        grid = eval_tps_grid(t, 8, 8)
+        grid = grid_of(t, 8, 8)
         lattice = normalized_lattice(8, 8)
         for r in range(8):
             for c in range(8):
@@ -226,22 +260,44 @@ class TestEval:
 
     @pytest.mark.parametrize("solved", [False, True], ids=["given", "solved"])
     def test_grid_bit_identical_on_non_square_lattice(self, rng, solved):
-        # on 7 x 11 the origin is lattice point (3, 5): the first anchor
-        # sits on it (rsq == 0); the second lies outside [-1, 1]^2
-        controls = np.array(
-            [[0.0, 0.0], [1.4, -1.3], [-0.6, 0.3], [0.5, 0.7], [-0.9, -0.8]]
-        )
-        if solved:
-            t = solve_tps(controls + 0.1 * rng.normal(size=controls.shape), controls)
-        else:
-            t = TpsTransform(rng.normal(size=(2, 3)), rng.normal(size=(5, 2)), controls)
+        # one pass over 3 transforms on 7 x 11, where the origin is lattice
+        # point (3, 5): an anchor of each sits on it (rsq == 0), at a
+        # different position among its anchors; two lie outside [-1, 1]^2
         lattice = normalized_lattice(7, 11)
         assert lattice[3, 5].tolist() == [0.0, 0.0]
-        grid = eval_tps_grid(t, 7, 11)
-        assert grid.shape == (7, 11, 2)
-        expect = np.array([[eval_tps(t, lattice[r, c]) for c in range(11)]
-                           for r in range(7)])
-        assert np.array_equal(grid, expect)
+        transforms = []
+        for j in range(3):
+            controls = np.array([[0.0, 0.0], [1.4, -1.3], [-0.6, 0.3],
+                                 [0.5, 0.7], [-0.9, -0.8], [-1.1, 2.0]])
+            controls[2:5] += 0.05 * rng.normal(size=(3, 2))
+            controls = np.roll(controls, 2 * j, axis=0)
+            transforms.append(
+                solve_tps(controls + 0.1 * rng.normal(size=controls.shape), controls)
+                if solved else
+                TpsTransform(rng.normal(size=(2, 3)), rng.normal(size=(6, 2)), controls))
+        grids, nearest_sq = eval_tps_grid(transforms, 7, 11)
+        assert grids.shape == (3, 7, 11, 2) and nearest_sq.shape == (3, 7, 11)
+        for t, grid, near in zip(transforms, grids, nearest_sq):
+            expect = np.array([[eval_tps(t, lattice[r, c]) for c in range(11)]
+                               for r in range(7)])
+            assert np.array_equal(grid, expect)
+            assert np.array_equal(grid, grid_of(t, 7, 11))
+            assert np.array_equal(grid, reference_grid(t, 7, 11))
+            assert near[3, 5] == 0.0
+
+    def test_batch_writes_into_given_buffers(self, rng):
+        ts = [solve_tps(*random_pairs(rng, 5)) for _ in range(3)]
+        out, nearest = np.empty((3, 2, 6, 9)), np.empty((3, 6, 9))
+        grids, near = eval_tps_grid(ts, 6, 9, out=out, nearest=nearest)
+        assert np.shares_memory(grids, out) and near is nearest
+        assert np.array_equal(grids, eval_tps_grid(ts, 6, 9)[0])
+
+    def test_batch_needs_one_anchor_count(self, rng):
+        t3 = solve_tps(*random_pairs(rng, 3))
+        t4 = solve_tps(*random_pairs(rng, 4))
+        for transforms in ([], [t3, t4]):
+            with pytest.raises(InvalidArgumentError, match="one anchor count"):
+                eval_tps_grid(transforms, 5, 5)
 
     def test_lattice_axes_built_once_and_read_only(self):
         """Every grid of a frame shares one pair of axes, which no caller
@@ -257,9 +313,9 @@ class TestEval:
     def test_grid_rejects_degenerate_sizes(self):
         t = identity_transform()
         with pytest.raises(InvalidArgumentError):
-            eval_tps_grid(t, 1, 8)
+            eval_tps_grid([t], 1, 8)
         with pytest.raises(InvalidArgumentError):
-            eval_tps_grid(t, 8, 0)
+            eval_tps_grid([t], 8, 0)
 
 
 class TestEnergy:
