@@ -8,6 +8,7 @@ first line in every text file they write.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import pickle
@@ -520,7 +521,10 @@ def _add_config_and_seed(p, seed_help="override the config seed"):
     p.add_argument("--seed", type=int, help=seed_help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building it costs about
+    twenty times a parse. Parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mdgesture",
         description="Audio-conditioned keypoint motion pipeline",

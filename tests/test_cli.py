@@ -147,6 +147,24 @@ class TestTpsSolve:
         assert code == 2
 
 
+def test_parser_reused_after_a_failed_parse(pipeline, tmp_path, capsys):
+    # the parser is built once per process; a failed parse must not leave
+    # state that changes the next commands
+    assert cli.main(["generate", "--frames", "3"]) == 2
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]])
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(formats.pairs_to_text(pts + [0.1, -0.2], pts))
+    assert cli.main(["tps-solve", "--pairs", str(pairs), "--out", str(tmp_path / "t.mdtp")]) == 0
+    assert stdout_value(capsys.readouterr().out, "energy") <= 1e-10
+    assert formats.read_transform(tmp_path / "t.mdtp").n_controls == 4
+    data = tmp_path / "data"
+    assert cli.main(["synth-data", "--config", str(pipeline.cfg), "--out-dir", str(data)]) == 0
+    for name in ("seq_0000.mdsq", "seq_0003.mdaf", "index.csv"):
+        assert (data / name).read_bytes() == (pipeline.data / name).read_bytes()
+
+
 def shift_transform(dx):
     return TpsTransform(
         np.array([[1.0, 0.0, dx], [0.0, 1.0, 0.0]]),
@@ -290,6 +308,14 @@ class TestSynthData:
         assert (tmp_path / "seq_0000.mdsq").read_bytes() != (
             pipeline.data / "seq_0000.mdsq"
         ).read_bytes()
+
+    def test_segment_shorter_than_the_losses_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(with_key(TOY_CFG, "m", "2"))
+        out = tmp_path / "data"
+        assert cli.main(["synth-data", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert "lambda_acc" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -102,6 +102,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    def test_segment_too_short_for_velocity_loss(self):
+        # refused here, not later by train after synth-data wrote a dataset
+        with pytest.raises(ConfigError, match="m must be >= 2 when lambda_vel > 0"):
+            parse_config("m = 1\nlambda_acc = 0\n")
+
+    def test_segment_too_short_for_acceleration_loss(self):
+        with pytest.raises(ConfigError, match="m must be >= 3 when lambda_acc > 0"):
+            parse_config("m = 2\n")
+
+    @pytest.mark.parametrize("m,losses", [(1, "lambda_vel = 0\nlambda_acc = 0"),
+                                          (2, "lambda_acc = 0")])
+    def test_short_segment_without_its_loss_accepted(self, m, losses):
+        assert parse_config(f"m = {m}\n{losses}\n").m == m
+
 
 def test_read_config_file(tmp_path):
     path = tmp_path / "run.cfg"

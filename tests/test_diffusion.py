@@ -18,12 +18,13 @@ from mdgesture.diffusion import (
     p_step,
     q_sample,
     sample,
+    sample_heads,
     time_embedding,
     total_loss,
     train_denoiser,
 )
 from mdgesture.errors import InvalidArgumentError
-from mdgesture.rng import generator
+from mdgesture.rng import BATCH_TAG, StepNoise, generator
 
 
 class ConstantDenoiser(Denoiser):
@@ -432,3 +433,180 @@ class TestTraining:
         sched = _ms(cfg.t_steps, cfg.schedule)
         out = sample(model, cond, sched, seed=123, gamma=1.0)
         assert np.max(np.abs(out.frames - 0.3)) < 0.1
+
+
+# -- references written out: the per-step code of the sampler and trainer
+# before the coefficient table, bind and the trimmed gradient. The fast
+# path must equal them bit for bit (np.array_equal), not to a tolerance.
+
+def reference_p_step(x_t, t, x0_hat, sched, noise):
+    ab_t = sched.alpha_bar[t - 1]
+    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
+    beta_t = sched.beta[t - 1]
+    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
+    coefx = math.sqrt(sched.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
+    mean = coef0 * x0_hat + coefx * x_t
+    if t == 1:
+        return mean
+    var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+    return mean + math.sqrt(var) * noise
+
+
+def reference_preactivation(model, x_t, t, cond):
+    emb = time_embedding(t, model.embed)
+    xs, au, sd, em = model._blocks
+    w1 = model.w1
+    pre = x_t @ w1[:, xs].T
+    pre += w1[:, sd] @ cond.seed_motion + w1[:, em] @ emb + model.b1
+    return pre, cond.audio @ w1[:, au].T, emb
+
+
+def reference_guided(model, x_t, t, cond, gamma):
+    pre, audio_pre, _ = reference_preactivation(model, x_t, t, cond)
+    if gamma == 1.0:
+        return np.tanh(pre + audio_pre) @ model.w2.T + model.b2
+    h = gamma * np.tanh(pre + audio_pre) + (1.0 - gamma) * np.tanh(pre)
+    return h @ model.w2.T + model.b2
+
+
+def reference_chain(model, cond, sched, seeds, rows, gamma):
+    noise = [StepNoise(s) for s in seeds]
+
+    def normals(step):
+        return np.concatenate([n.normals(step, (rows, model.n_channels)) for n in noise])
+
+    x = normals(sched.n_steps)
+    for t in range(sched.n_steps, 0, -1):
+        x0h = reference_guided(model, x, t, cond, gamma)
+        x = reference_p_step(x, t, x0h, sched, normals(t - 1) if t > 1 else None)
+    return x
+
+
+def reference_loss_gradients(model, x0, x_t, t, cond, lambda_vel, lambda_acc):
+    pre, audio_pre, emb = reference_preactivation(model, x_t, t, cond)
+    h = np.tanh(pre + audio_pre)
+    y = h @ model.w2.T + model.b2
+    m = x0.shape[0]
+    g = (2.0 / y.size) * (y - x0)
+    if lambda_vel:
+        ev = np.diff(y, axis=0) - np.diff(x0, axis=0)
+        gv = np.zeros_like(y)
+        gv[:-1] -= ev
+        gv[1:] += ev
+        g += (lambda_vel * 2.0 / (m - 1)) * gv
+    if lambda_acc:
+        ea = np.diff(y, n=2, axis=0) - np.diff(x0, n=2, axis=0)
+        ga = np.zeros_like(y)
+        ga[:-2] += ea
+        ga[1:-1] -= 2.0 * ea
+        ga[2:] += ea
+        g += (lambda_acc * 2.0 / (m - 2)) * ga
+    dh = g @ model.w2
+    dpre = dh * (1.0 - h * h)
+    db1 = dpre.sum(axis=0)
+    xs, au, sd, em = model._blocks
+    dw1 = np.empty_like(model.w1)
+    dw1[:, xs] = dpre.T @ x_t
+    dw1[:, au] = dpre.T @ cond.audio
+    dw1[:, sd] = np.outer(db1, cond.seed_motion)
+    dw1[:, em] = np.outer(db1, emb)
+    return {"w2": g.T @ h, "b2": g.sum(axis=0), "w1": dw1, "b1": db1}
+
+
+def reference_train(dataset, cfg):
+    """train_denoiser's parameter updates, without the probe rows."""
+    seqs = [s.frames for s, _ in dataset]
+    conds = [c for _, c in dataset]
+    sched = make_schedule(cfg.t_steps, cfg.schedule)
+    model = MlpDenoiser(seqs[0].shape[1], conds[0].audio.shape[1], cfg.hidden,
+                        cfg.embed, seed=cfg.seed)
+    g = generator(cfg.seed, BATCH_TAG)
+    vel = np.zeros_like(model.get_flat())
+    for _ in range(cfg.steps):
+        idx = g.integers(0, len(dataset), size=cfg.batch)
+        acc = {name: np.zeros_like(p) for name, p in model.parameters().items()}
+        for i in idx:
+            t = int(g.integers(1, sched.n_steps + 1))
+            noise = g.standard_normal(seqs[i].shape)
+            ab = sched.alpha_bar[t - 1]
+            x_t = math.sqrt(ab) * seqs[i] + math.sqrt(1.0 - ab) * noise
+            cond = conds[i].masked if g.random() < cfg.mask_prob else conds[i]
+            grads = reference_loss_gradients(model, seqs[i], x_t, t, cond,
+                                             cfg.lambda_vel, cfg.lambda_acc)
+            for name in acc:
+                acc[name] += grads[name]
+        flat_acc = np.concatenate([acc[name].ravel() for name in model.PARAM_NAMES])
+        vel = 0.9 * vel - (cfg.lr / cfg.batch) * flat_acc
+        model.set_flat(model.get_flat() + vel)
+    return model
+
+
+class TestSameBitsAsPerStepCode:
+    @pytest.mark.parametrize("kind", ["linear", "cosine"])
+    @pytest.mark.parametrize("t_steps", [1, 2, 50])
+    def test_coefficient_table_is_the_scalar_formulas(self, kind, t_steps):
+        s = make_schedule(t_steps, kind)
+        assert len(s.coefficients) == t_steps
+        for t, (fwd_x0, fwd_noise, post_x0, post_xt, sigma) in enumerate(
+                s.coefficients, start=1):
+            ab_t = s.alpha_bar[t - 1]
+            ab_prev = s.alpha_bar[t - 2] if t > 1 else 1.0
+            beta_t = s.beta[t - 1]
+            assert fwd_x0 == math.sqrt(ab_t)
+            assert fwd_noise == math.sqrt(1.0 - ab_t)
+            assert post_x0 == math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
+            assert post_xt == math.sqrt(s.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
+            assert sigma == math.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * beta_t)
+        assert s.coefficients is s.coefficients
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_bound_chain_draws_equal_the_unbound_steps(self, gamma):
+        m, c, sched = 12, 8, make_schedule(6, "cosine")
+        model = MlpDenoiser(c, 3, hidden=16, embed=4, seed=3)
+        model.set_flat(generator(9).normal(size=model.get_flat().shape))  # b1, b2 nonzero
+        cond = tiny_condition(m, c)
+        got = sample(model, cond, sched, seed=(4, 1), gamma=gamma).frames
+        assert np.array_equal(got, reference_chain(model, cond, sched, [(4, 1)], m, gamma))
+        seeds = [(4, 1, p) for p in range(3)]
+        heads = sample_heads(model, cond, sched, seeds, 5, gamma)
+        tiled = Condition(np.tile(cond.audio[:5], (3, 1)), cond.seed_motion)
+        want = reference_chain(model, tiled, sched, seeds, 5, gamma)
+        assert np.array_equal(heads, want.reshape(3, 5, c))
+
+    def test_bound_view_follows_parameter_writes(self):
+        model = MlpDenoiser(4, 3, hidden=8, embed=4, seed=1)
+        cond, sched = tiny_condition(6, 4), make_schedule(4, "linear")
+        sample(model, cond, sched, seed=2, gamma=2.0)  # fills the embedding table
+        model.w1[...] *= 0.5
+        got = sample(model, cond, sched, seed=2, gamma=2.0).frames
+        assert np.array_equal(got, reference_chain(model, cond, sched, [2], 6, 2.0))
+
+    def test_training_equals_the_unbound_gradient_loop(self):
+        g = generator(8)
+        dataset = [(MotionSequence(g.normal(size=(10, 4))),
+                    Condition(g.normal(size=(10, 2)), g.normal(size=4)))
+                   for _ in range(3)]
+        cfg = PipelineConfig(k=1, n=2, m=10, t_steps=7, steps=12, batch=3, hidden=8,
+                             embed=4, mask_prob=0.5, seed=5)
+        model, _ = train_denoiser(dataset, cfg)
+        want = reference_train(dataset, cfg)
+        for name in MlpDenoiser.PARAM_NAMES:
+            assert np.array_equal(getattr(model, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("c_a, c", [(2, 4), (3, 5)], ids=["audio_width", "seed_size"])
+    def test_bind_refuses_a_mismatched_condition_before_any_noise(self, monkeypatch, c_a, c):
+        model = MlpDenoiser(4, 3, hidden=8, embed=4)
+        bad = Condition(np.zeros((6, c_a)), np.zeros(c))
+        drawn = []
+        monkeypatch.setattr(StepNoise, "normals", lambda self, *a: drawn.append(a))
+        with pytest.raises(InvalidArgumentError):
+            model.bind(bad)
+        with pytest.raises(InvalidArgumentError):
+            sample(model, bad, make_schedule(3, "cosine"), seed=0)
+        assert drawn == []
+
+    def test_bound_view_refuses_another_condition(self):
+        model = MlpDenoiser(4, 3, hidden=8, embed=4)
+        view = model.bind(tiny_condition(6, 4))
+        with pytest.raises(InvalidArgumentError):
+            guided_x0(view, np.zeros((6, 4)), 1, tiny_condition(6, 4, seed=6), 2.0)
