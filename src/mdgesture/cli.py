@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
-import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,6 +56,7 @@ from .motion import unflatten
 from .ppm import mask_to_pgm, read_pnm_file, write_pnm_file
 from .synth import make_dataset
 from .tps import bending_energy, eval_tps, solve_tps, solve_tps_batch
+from .workers import fork_call, join, usable_cores
 from .workspace import Workspace
 
 
@@ -246,9 +245,7 @@ def _worker_count(frames: int) -> int:
     """Processes a render of `frames` frames uses: one per usable core,
     each with at least FRAMES_PER_WORKER frames, and 1 where the
     platform cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), frames // FRAMES_PER_WORKER))
+    return max(1, min(usable_cores(), frames // FRAMES_PER_WORKER))
 
 
 def _render_chunk(frame_transforms, start, stop, cfg, src_img, out_dir):
@@ -257,45 +254,6 @@ def _render_chunk(frame_transforms, start, stop, cfg, src_img, out_dir):
     for i in range(start, stop):
         frame, _ = _render_frame(frame_transforms[i], src_img, cfg.softness, True, ws)
         write_pnm_file(out_dir / _frame_name(i), frame, ws)
-
-
-def _fork_chunk(*chunk) -> tuple[int, int]:
-    """Render a chunk in a forked child; returns its pid and the read end
-    of a pipe on which the child sends the exception it failed with.
-
-    The child leaves through os._exit: it never returns into the caller
-    and never flushes the stdio buffers it inherited.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        _render_chunk(*chunk)
-        status = 0
-    except BaseException as e:
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(e))
-    finally:
-        os._exit(status)
-
-
-def _join(pid: int, read_fd: int) -> BaseException | None:
-    """Wait for a forked chunk; returns the exception it failed with, or
-    None. A child that ended without sending one (a signal, say) is
-    reported by its exit code."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if payload:
-        return pickle.loads(payload)
-    if status:
-        code = os.waitstatus_to_exitcode(status)
-        return OSError(f"render worker {pid} ended with exit code {code}")
-    return None
 
 
 def _render_frames(frame_transforms, cfg, src_img, out_dir, workers=None):
@@ -323,10 +281,11 @@ def _render_frames(frame_transforms, cfg, src_img, out_dir, workers=None):
     forked = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            forked.append(_fork_chunk(frame_transforms, start, stop, cfg, src_img, out_dir))
+            forked.append(fork_call(_render_chunk, frame_transforms, start, stop, cfg,
+                                    src_img, out_dir))
         _render_chunk(frame_transforms, 0, bounds[1], cfg, src_img, out_dir)
     finally:
-        errors = [e for e in (_join(*f) for f in forked) if e is not None]
+        errors = [e for e in (join(*f, "render worker") for f in forked) if e is not None]
     if errors:
         raise errors[0]
     for path in out_dir.glob("frame_*.ppm"):

@@ -26,6 +26,12 @@ comes from the same float operations in the same order as before, so
 draws and trained models keep their bits. guided_x0, p_step, q_sample
 and loss_gradients are still called once per step: they are the layers
 the benchmark's tracer times.
+
+A reverse chain's step noise is one rng.step_block per step, of each
+seed's StepNoise. sample and sample_heads draw the blocks in-process
+unless given a feed, a noisering.NoiseRing whose forked helper draws
+the same blocks ahead of the denoiser; longgen.generate_long passes one
+when a call draws enough noise to pay for the fork.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .config import PipelineConfig
 from .errors import InvalidArgumentError, NumericsError
 from .fileio import F32_MAX
 from .motion import DEFAULT_FPS, MotionSequence
-from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator
+from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator, step_block
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
 
@@ -217,25 +223,28 @@ def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
 
 
 def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-           seed, gamma: float = 1.0, fps=DEFAULT_FPS) -> MotionSequence:
+           seed, gamma: float = 1.0, fps=DEFAULT_FPS, feed=None) -> MotionSequence:
     """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed.
 
-    The noise comes from StepNoise(seed), one keyed step per level. The
-    motion has one frame per audio row of cond and one channel per entry
-    of its seed motion."""
-    x = _reverse_chain(d, cond, sched, [StepNoise(seed)], gamma)
+    The noise comes from StepNoise(seed), one keyed step per level, drawn
+    here or, when feed (a noisering.NoiseRing) is given, by its helper
+    process: the values are the same either way. The motion has one
+    frame per audio row of cond and one channel per entry of its seed
+    motion."""
+    x = _reverse_chain(d, cond, sched, [seed], gamma, feed)
     return MotionSequence(x, fps)
 
 
 def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                 seeds, rows: int, gamma: float = 1.0) -> np.ndarray:
+                 seeds, rows: int, gamma: float = 1.0, feed=None) -> np.ndarray:
     """The first `rows` frames of sample(d, cond, sched, seed, gamma) for
     each seed, as one (len(seeds), rows, C) block. d must be frame-local.
 
     One reverse chain denoises the heads stacked into a
     (len(seeds) * rows, C) array. Each step draws only the (rows, C)
-    normals of each seed: a keyed step's first rows are the rows a full
-    draw takes, so the noise matches a full draw's exactly.
+    normals of each seed, here or by feed's helper as in sample: a keyed
+    step's first rows are the rows a full draw takes, so the noise
+    matches a full draw's exactly.
 
     The denoised heads match the full draws' first rows to rounding, not
     bit for bit: a matrix product over fewer rows may sum in another
@@ -244,28 +253,31 @@ def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     """
     if not d.frame_local:
         raise InvalidArgumentError("head rows need a frame-local denoiser")
-    noise = [StepNoise(s) for s in seeds]
-    heads = Condition(np.tile(cond.audio[:rows], (len(noise), 1)), cond.seed_motion)
-    return _reverse_chain(d, heads, sched, noise, gamma).reshape(len(noise), rows, -1)
+    heads = Condition(np.tile(cond.audio[:rows], (len(seeds), 1)), cond.seed_motion)
+    return _reverse_chain(d, heads, sched, seeds, gamma, feed).reshape(len(seeds), rows, -1)
 
 
 def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                   noise, gamma: float) -> np.ndarray:
-    """Denoise len(noise) blocks stacked along cond's rows down to x0.
+                   seeds, gamma: float, feed) -> np.ndarray:
+    """Denoise len(seeds) blocks stacked along cond's rows down to x0.
 
-    Block i takes its normals from noise[i]: x_T at step T, and the
-    noise that reverse step t adds to form x_{t-1} at step t - 1."""
-    shape = (cond.audio.shape[0] // len(noise), cond.seed_motion.size)
-
-    def normals(step):
-        parts = [n.normals(step, shape) for n in noise]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
+    Each step's normals are a step_block of StepNoise(seed) for every
+    seed, taken in order from feed.blocks or drawn here: x_T at step T,
+    then the noise that reverse step t adds to form x_{t-1} at step
+    t - 1. x_T is copied: it is still in use when the next block is
+    taken, and a feed may then reuse its slot."""
+    shape = (cond.audio.shape[0], cond.seed_motion.size)
     d = d.bind(cond)
-    x = normals(sched.n_steps)
+    if feed is None:
+        noise = [StepNoise(s) for s in seeds]
+        blocks = (step_block(noise, step, np.empty(shape))
+                  for step in range(sched.n_steps, 0, -1))
+    else:
+        blocks = feed.blocks(seeds, shape[0] // len(seeds))
+    x = next(blocks).copy()
     for t in range(sched.n_steps, 0, -1):
         x0h = guided_x0(d, x, t, cond, gamma)
-        x = p_step(x, t, x0h, sched, normals(t - 1) if t > 1 else None)
+        x = p_step(x, t, x0h, sched, next(blocks) if t > 1 else None)
     return x
 
 

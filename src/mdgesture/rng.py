@@ -61,7 +61,18 @@ class StepNoise:
         # comes from the step's own counter
         self._state = self._gen.bit_generator.state
 
-    def normals(self, step: int, shape) -> np.ndarray:
+    def normals(self, step: int, shape, out=None) -> np.ndarray:
+        """Step `step`'s normals of `shape`, written into `out` when given
+        (a float64 array of that shape); the values do not depend on it."""
         self._state["state"]["counter"][1] = step
         self._gen.bit_generator.state = self._state
-        return self._gen.standard_normal(shape)
+        return self._gen.standard_normal(shape, out=out)
+
+
+def step_block(noise, step: int, out) -> np.ndarray:
+    """Fill out, a (len(noise) * rows, C) float64 array, with each
+    StepNoise's (rows, C) normals of `step`, stacked in order; returns out."""
+    rows = out.shape[0] // len(noise)
+    for i, n in enumerate(noise):
+        n.normals(step, (rows, out.shape[1]), out[i * rows:(i + 1) * rows])
+    return out

@@ -1,5 +1,6 @@
 import errno
 import os
+import pickle
 import shutil
 import struct
 import warnings
@@ -967,6 +968,33 @@ class TestRender:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == (2, "error: [Errno 5] injected write failure: "
                                   f"'{Path('DIR') / cli._frame_name(6)}'\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unreadable_worker_report_is_a_clean_error(self, rendered, tmp_path, capsys,
+                                                       monkeypatch):
+        """Two forked workers fail and send only the first 7 bytes of their
+        pickled OSError: the run ends with exit 2 and an error naming the
+        first, once every worker has been waited for."""
+        _, frames = rendered
+        write = cli.write_pnm_file
+
+        def failing_write(path, frame, ws=None):
+            if int(Path(path).name[len("frame_"):-len(".ppm")]) >= 4:  # the children's
+                dumps = pickle.dumps
+                pickle.dumps = lambda obj: dumps(obj)[:7]  # in the child only
+                raise OSError(errno.EIO, "injected write failure", str(path))
+            return write(path, frame, ws)
+
+        monkeypatch.setattr(cli, "write_pnm_file", failing_write)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert cli._worker_count(12) == 3
+        code = self.render_into(frames.parent, tmp_path / "frames", 12)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: render worker ")
+        assert err.endswith(" ended with exit code 1 and an unreadable error report\n")
+        assert not (tmp_path / "frames" / "frames.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
