@@ -72,30 +72,33 @@ def test_threshold_and_cores(monkeypatch):
     assert not noisering.use_helper(5 * 10**6)
 
 
+# one 120-frame segment draws 50 * 200 * 120 = 1.2 M normals
+SINGLE = PipelineConfig(k=20, n=5, m=FRAMES, t_steps=50, gamma=2.0, p=5, seed=5)
+
+
+@pytest.mark.parametrize("cfg", [RIG, SINGLE], ids=["three_segments", "one_segment"])
 @pytest.mark.parametrize("refusal", ["one_core", "no_fork"])
-def test_helper_draws_the_in_process_bytes(rig, forks, monkeypatch, refusal):
+def test_helper_draws_the_in_process_bytes(rig, forks, monkeypatch, refusal, cfg):
     model, cond, seed_motion = rig
-    out, report = generate_long(model, cond, seed_motion, FRAMES, RIG)
+    out, report = generate_long(model, cond, seed_motion, FRAMES, cfg)
     assert len(forks) == 1
     assert_no_child_left()
     if refusal == "one_core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
         monkeypatch.delattr(os, "fork")
-    ref, ref_report = generate_long(model, cond, seed_motion, FRAMES, RIG)
+    ref, ref_report = generate_long(model, cond, seed_motion, FRAMES, cfg)
     assert len(forks) == 1
     assert np.array_equal(out.frames, ref.frames)
     assert report_rows(report) == report_rows(ref_report)
 
 
 def test_single_segment_with_helper_equals_sample(rig, forks):
-    """One 120-frame segment draws 50 * 200 * 120 = 1.2 M normals."""
     model, cond, seed_motion = rig
-    cfg = PipelineConfig(k=20, n=5, m=FRAMES, t_steps=50, gamma=2.0, p=5, seed=5)
-    out, report = generate_long(model, cond, seed_motion, FRAMES, cfg)
+    out, report = generate_long(model, cond, seed_motion, FRAMES, SINGLE)
     assert len(forks) == 1 and report == []
     direct = sample(model, Condition(cond.features, seed_motion), make_schedule(50),
-                    seed=cfg.seed, gamma=cfg.gamma)
+                    seed=SINGLE.seed, gamma=SINGLE.gamma)
     assert np.array_equal(out.frames, direct.frames)
     assert_no_child_left()
 
