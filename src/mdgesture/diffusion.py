@@ -28,15 +28,18 @@ and loss_gradients are still called once per step: they are the layers
 the benchmark's tracer times.
 
 A reverse chain's step noise is one rng.step_block per step, of each
-seed's StepNoise. sample and sample_heads draw the blocks in-process
-unless given a feed, a noisering.NoiseRing whose forked helper draws
-the same blocks ahead of the denoiser; longgen.generate_long passes one
-when a call draws enough noise to pay for the fork.
+seed's StepNoise. A chain large enough to pay for it draws its blocks
+ahead of the denoiser in a worker thread (the normals' fill releases
+the GIL), and any other chain draws them in-process; the bytes are the
+same either way (see _step_blocks).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -47,8 +50,21 @@ from .errors import InvalidArgumentError, NumericsError
 from .fileio import F32_MAX
 from .motion import DEFAULT_FPS, MotionSequence
 from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator, step_block
+from .workers import usable_cores
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
+
+# A chain that draws fewer step normals (T x rows x C) draws them in-process.
+# Drawing 10^6 normals takes about 17 ms on one core; a worker thread costs
+# about 0.1 ms to start and join and 15 us per block handed over, and gains
+# nothing while the host has no free second core. The default rig's full
+# 80-frame chains (0.8 M normals) draw ahead; its 40-frame chains (0.4 M),
+# its head passes (0.25 M) and the toy rig's chains (c = 8, at most 32 k)
+# do not.
+AHEAD_NORMALS = 500_000
+# Blocks the thread may draw before the denoiser takes them: a whole
+# chain's blocks (6.4 MB on the default rig) would raise peak memory.
+AHEAD_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -223,28 +239,27 @@ def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
 
 
 def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-           seed, gamma: float = 1.0, fps=DEFAULT_FPS, feed=None) -> MotionSequence:
+           seed, gamma: float = 1.0, fps=DEFAULT_FPS) -> MotionSequence:
     """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed.
 
-    The noise comes from StepNoise(seed), one keyed step per level, drawn
-    here or, when feed (a noisering.NoiseRing) is given, by its helper
-    process: the values are the same either way. The motion has one
+    The noise comes from StepNoise(seed), one keyed step per level, with
+    the same values wherever _step_blocks draws it. The motion has one
     frame per audio row of cond and one channel per entry of its seed
     motion."""
-    x = _reverse_chain(d, cond, sched, [seed], gamma, feed)
+    x = _reverse_chain(d, cond, sched, [seed], gamma)
     return MotionSequence(x, fps)
 
 
 def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                 seeds, rows: int, gamma: float = 1.0, feed=None) -> np.ndarray:
+                 seeds, rows: int, gamma: float = 1.0) -> np.ndarray:
     """The first `rows` frames of sample(d, cond, sched, seed, gamma) for
     each seed, as one (len(seeds), rows, C) block. d must be frame-local.
 
     One reverse chain denoises the heads stacked into a
     (len(seeds) * rows, C) array. Each step draws only the (rows, C)
-    normals of each seed, here or by feed's helper as in sample: a keyed
-    step's first rows are the rows a full draw takes, so the noise
-    matches a full draw's exactly.
+    normals of each seed, as sample draws them: a keyed step's first rows
+    are the rows a full draw takes, so the noise matches a full draw's
+    exactly.
 
     The denoised heads match the full draws' first rows to rounding, not
     bit for bit: a matrix product over fewer rows may sum in another
@@ -254,31 +269,66 @@ def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     if not d.frame_local:
         raise InvalidArgumentError("head rows need a frame-local denoiser")
     heads = Condition(np.tile(cond.audio[:rows], (len(seeds), 1)), cond.seed_motion)
-    return _reverse_chain(d, heads, sched, seeds, gamma, feed).reshape(len(seeds), rows, -1)
+    return _reverse_chain(d, heads, sched, seeds, gamma).reshape(len(seeds), rows, -1)
 
 
 def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
-                   seeds, gamma: float, feed) -> np.ndarray:
+                   seeds, gamma: float) -> np.ndarray:
     """Denoise len(seeds) blocks stacked along cond's rows down to x0.
 
     Each step's normals are a step_block of StepNoise(seed) for every
-    seed, taken in order from feed.blocks or drawn here: x_T at step T,
-    then the noise that reverse step t adds to form x_{t-1} at step
-    t - 1. x_T is copied: it is still in use when the next block is
-    taken, and a feed may then reuse its slot."""
+    seed, taken in order from _step_blocks: x_T at step T, then the
+    noise that reverse step t adds to form x_{t-1} at step t - 1."""
     shape = (cond.audio.shape[0], cond.seed_motion.size)
     d = d.bind(cond)
-    if feed is None:
-        noise = [StepNoise(s) for s in seeds]
-        blocks = (step_block(noise, step, np.empty(shape))
-                  for step in range(sched.n_steps, 0, -1))
-    else:
-        blocks = feed.blocks(seeds, shape[0] // len(seeds))
-    x = next(blocks).copy()
-    for t in range(sched.n_steps, 0, -1):
-        x0h = guided_x0(d, x, t, cond, gamma)
-        x = p_step(x, t, x0h, sched, next(blocks) if t > 1 else None)
+    with closing(_step_blocks(seeds, shape, sched.n_steps)) as blocks:
+        x = next(blocks)
+        for t in range(sched.n_steps, 0, -1):
+            x0h = guided_x0(d, x, t, cond, gamma)
+            x = p_step(x, t, x0h, sched, next(blocks) if t > 1 else None)
     return x
+
+
+def _step_blocks(seeds, shape, n_steps: int):
+    """A chain's step blocks, steps n_steps..1, each a fresh `shape` array.
+
+    A chain of at least AHEAD_NORMALS normals, on a process that may run
+    on two or more cores, draws them in a worker thread at most
+    AHEAD_BLOCKS ahead of the caller, which draws the blocks the thread
+    has not started itself: the due one, and the last queued one while
+    the thread draws the due one. Each side has its own StepNoise
+    generators (a Generator serves one thread at a time); the blocks are
+    keyed, so both draw the same bytes. The thread is joined when the
+    iterator ends or is closed, which the caller must do."""
+    noise = [StepNoise(s) for s in seeds]
+    steps = range(n_steps, 0, -1)
+    if n_steps * shape[0] * shape[1] < AHEAD_NORMALS or usable_cores() < 2:
+        yield from (step_block(noise, step, np.empty(shape)) for step in steps)
+        return
+    theirs = [StepNoise(s) for s in seeds]
+    pool = ThreadPoolExecutor(1)
+    try:
+        def ahead(step):
+            return pool.submit(step_block, theirs, step, np.empty(shape))
+
+        def here(step):
+            drawn = Future()
+            drawn.set_result(step_block(noise, step, np.empty(shape)))
+            return drawn
+
+        queued = deque(map(ahead, steps[:AHEAD_BLOCKS]))
+        for step in steps:
+            due = queued.popleft()
+            if due.cancel():
+                due = here(step)
+            elif not due.done() and queued and queued[-1].cancel():
+                queued[-1] = here(step - len(queued))  # drawn while the thread draws `due`
+            block = due.result()
+            if step > AHEAD_BLOCKS:
+                queued.append(ahead(step - AHEAD_BLOCKS))
+            yield block
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _pair(x0, x0_hat):

@@ -12,7 +12,6 @@ spline so stitches stay smooth.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .config import PipelineConfig
 from .diffusion import Condition, make_schedule, sample, sample_heads
 from .errors import InvalidArgumentError
 from .motion import MotionSequence, spline_fill
-from .noisering import NoiseRing, use_helper
 
 WINDOW = 5
 FILL_KNOTS = 5
@@ -98,10 +96,10 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     replaced by a spline fit through 5 knot frames on each side; gap = 0
     concatenates as-is.
 
-    Every chain's step noise comes from one forked helper (a
-    noisering.NoiseRing, ended before this returns or raises) when
-    noisering.use_helper accepts the call's count of step normals, and
-    is drawn in-process otherwise; the bytes are the same either way.
+    Each chain draws its own step noise: ahead in a worker thread when
+    it is large enough (each full draw on the default rig, not its head
+    passes) and in-process otherwise (see diffusion._step_blocks). No
+    thread outlives its chain, and the bytes are the same either way.
 
     Returns (motion, report) where report rows are
     (segment, candidate, CandidateScore, selected).
@@ -129,32 +127,26 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
 
     sched = make_schedule(cfg.t_steps, cfg.schedule)
     heads = n_seg > 1 and cfg.p > 1 and denoiser.frame_local
-    later_rows = cfg.p * WINDOW + m if heads else cfg.p * m
-    normals = sched.n_steps * seed_vec.size * (m + (n_seg - 1) * later_rows)
-    ring = None
-    if use_helper(normals):
-        ring = NoiseRing(sched.n_steps, seed_vec.size, max(m, cfg.p * WINDOW) if heads else m)
 
     def draw(cond, seed):
-        return sample(denoiser, cond, sched, seed=seed, gamma=cfg.gamma, feed=ring).frames
+        return sample(denoiser, cond, sched, seed=seed, gamma=cfg.gamma).frames
 
     segments, report = [], []
     start, seeds = seed_vec, [cfg.seed]
-    with ring or nullcontext():
-        for i in range(n_seg):
-            cond_i = Condition(feats[i * m : (i + 1) * m], start)
-            if segments and heads:
-                drawn = sample_heads(denoiser, cond_i, sched, seeds, WINDOW, cfg.gamma, ring)
-                best, scores = select_best(segments[-1], drawn)
-                kept = draw(cond_i, seeds[best])
-            else:
-                draws = np.stack([draw(cond_i, seed) for seed in seeds])
-                best, scores = select_best(segments[-1], draws) if segments else (0, [])
-                kept = draws[best]
-            report.extend((i, p, s, p == best) for p, s in enumerate(scores))
-            segments.append(kept)
-            start = kept[-1]
-            seeds = [candidate_seed(cfg.seed, i + 1, p) for p in range(cfg.p)]
+    for i in range(n_seg):
+        cond_i = Condition(feats[i * m : (i + 1) * m], start)
+        if segments and heads:
+            drawn = sample_heads(denoiser, cond_i, sched, seeds, WINDOW, cfg.gamma)
+            best, scores = select_best(segments[-1], drawn)
+            kept = draw(cond_i, seeds[best])
+        else:
+            draws = np.stack([draw(cond_i, seed) for seed in seeds])
+            best, scores = select_best(segments[-1], draws) if segments else (0, [])
+            kept = draws[best]
+        report.extend((i, p, s, p == best) for p, s in enumerate(scores))
+        segments.append(kept)
+        start = kept[-1]
+        seeds = [candidate_seed(cfg.seed, i + 1, p) for p in range(cfg.p)]
 
     full = np.vstack(segments)
     if gap > 0:

@@ -4,6 +4,7 @@ and the same bytes from forked workers as from one process.
 """
 
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from mdgesture.config import PipelineConfig
 from mdgesture.flow import FLOW_RESOLUTION
 from mdgesture.ppm import from_bytes_array, read_pnm_file, write_pnm
 from mdgesture.tps import solve_tps_batch
+from mdgesture.workers import join
 from mdgesture.workspace import Workspace
 
 
@@ -154,3 +156,18 @@ def test_worker_count(monkeypatch, cores, frames, workers):
 def test_one_worker_without_fork_or_affinity(monkeypatch, missing):
     monkeypatch.delattr(os, missing, raising=False)
     assert cli._worker_count(400) == 1
+
+
+def test_join_reports_a_cut_short_report_naming_the_worker():
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.write(write_fd, pickle.dumps(OSError("lost"))[:7])
+        os._exit(1)
+    os.close(write_fd)
+    error = join(pid, read_fd, "render worker")
+    assert isinstance(error, OSError)
+    assert str(error) == (f"render worker {pid} ended with exit code 1 "
+                          f"and an unreadable error report")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
