@@ -1,8 +1,8 @@
 """Command-line surface: the end-to-end pipeline as composable subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 artifact or config parse error,
-4 numeric/solver error. Seeded commands echo their seed as a `# seed=N`
-first line in every text file they write.
+Exit codes: 0 success, 2 usage error (out of memory included), 3 artifact
+or config parse error, 4 numeric/solver error. Seeded commands echo their
+seed as a `# seed=N` first line in every text file they write.
 """
 
 from __future__ import annotations
@@ -590,6 +590,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

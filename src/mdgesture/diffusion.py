@@ -3,10 +3,11 @@
 The forward process corrupts a clean sequence x0 with Gaussian noise at
 T discrete levels; the closed form x_t = sqrt(abar_t) x0 +
 sqrt(1 - abar_t) eps matches iterating the one-step kernel. The model
-predicts x0 itself (not the noise), so the reverse step is the posterior
-mean over (x_t, predicted x0) with fixed variance beta_tilde, and
-guidance is linear extrapolation between the conditional and
-audio-masked predictions.
+predicts x0 itself (not the noise), so the reverse step is DDIM's with
+eta = 0 (Song et al., arXiv 2010.02502): the noise implied by (x_t,
+predicted x0) is carried to the next level of a sub-sequence of at most
+SAMPLE_STEPS steps, with no fresh noise. Guidance is linear
+extrapolation between the conditional and audio-masked predictions.
 
 The reference denoiser is a two-layer tanh MLP over per-frame inputs
 (noisy frame, audio frame, seed motion, sinusoidal step embedding) with
@@ -22,24 +23,19 @@ Work constant along a reverse chain is done once: q_sample and p_step
 read the schedule's table of step coefficients, and a chain calls
 Denoiser.bind once, whose MLP view checks the condition and holds its
 audio and seed terms (w1e emb_t is kept per model and step). Each value
-comes from the same float operations in the same order as before, so
-draws and trained models keep their bits. guided_x0, p_step, q_sample
-and loss_gradients are still called once per step: they are the layers
-the benchmark's tracer times.
+comes from the same float operations in the same order as per-step code
+that rebuilds it, so draws and trained models equal that code's bit for
+bit. guided_x0, p_step, q_sample and loss_gradients are still called
+once per step: they are the layers the benchmark's tracer times.
 
-A reverse chain's step noise is one rng.step_block per step, of each
-seed's StepNoise. A chain large enough to pay for it draws its blocks
-ahead of the denoiser in a worker thread (the normals' fill releases
-the GIL), and any other chain draws them in-process; the bytes are the
-same either way (see _step_blocks).
+A reverse chain draws one block of normals, x_T, as the rng.step_block
+of each seed's StepNoise at step T; every step after it is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -50,21 +46,11 @@ from .errors import InvalidArgumentError, NumericsError
 from .fileio import F32_MAX
 from .motion import DEFAULT_FPS, MotionSequence
 from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator, step_block
-from .workers import usable_cores
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
 
-# A chain that draws fewer step normals (T x rows x C) draws them in-process.
-# Drawing 10^6 normals takes about 17 ms on one core; a worker thread costs
-# about 0.1 ms to start and join and 15 us per block handed over, and gains
-# nothing while the host has no free second core. The default rig's full
-# 80-frame chains (0.8 M normals) draw ahead; its 40-frame chains (0.4 M),
-# its head passes (0.25 M) and the toy rig's chains (c = 8, at most 32 k)
-# do not.
-AHEAD_NORMALS = 500_000
-# Blocks the thread may draw before the denoiser takes them: a whole
-# chain's blocks (6.4 MB on the default rig) would raise peak memory.
-AHEAD_BLOCKS = 4
+# Reverse steps of a chain, at most; each costs one guided denoiser pass.
+SAMPLE_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -96,20 +82,9 @@ class DiffusionSchedule:
 
     @cached_property
     def coefficients(self) -> list:
-        """Step t's coefficients at index t - 1, built on first use: the
-        forward sqrt(abar_t) and sqrt(1 - abar_t), the posterior weights on
-        x0_hat and on x_t, and the reverse noise scale sqrt(beta_tilde_t),
-        which is 0 at t = 1."""
-        rows = []
-        for t in range(1, self.n_steps + 1):
-            ab_t = self.alpha_bar[t - 1]
-            ab_prev = self.alpha_bar[t - 2] if t > 1 else 1.0
-            beta_t = self.beta[t - 1]
-            rows.append((math.sqrt(ab_t), math.sqrt(1.0 - ab_t),
-                         math.sqrt(ab_prev) * beta_t / (1.0 - ab_t),
-                         math.sqrt(self.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t),
-                         math.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * beta_t)))
-        return rows
+        """Step t's (sqrt(abar_t), sqrt(1 - abar_t)) at index t - 1, built
+        on first use."""
+        return [(math.sqrt(ab), math.sqrt(1.0 - ab)) for ab in self.alpha_bar.tolist()]
 
 
 def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
@@ -151,28 +126,37 @@ def q_sample(x0, t: int, noise, sched: DiffusionSchedule) -> np.ndarray:
     noise = np.asarray(noise, dtype=np.float64)
     if x0.shape != noise.shape:
         raise InvalidArgumentError("x0 and noise must share a shape")
-    fwd_x0, fwd_noise = sched.coefficients[t - 1][:2]
+    fwd_x0, fwd_noise = sched.coefficients[t - 1]
     return fwd_x0 * x0 + fwd_noise * noise
 
 
-def p_step(x_t, t: int, x0_hat, sched: DiffusionSchedule, noise=None) -> np.ndarray:
-    """One reverse step: posterior mean of (x_t, predicted x0) plus
-    fixed-variance noise; the noise term is omitted at t = 1."""
+def reverse_steps(n_steps: int) -> list:
+    """The levels a reverse chain visits, from n_steps down:
+    tau_i = ceil(i * T / S) for i = S, ..., 1, with S = min(T, SAMPLE_STEPS)."""
+    s = min(n_steps, SAMPLE_STEPS)
+    return [-(-i * n_steps // s) for i in range(s, 0, -1)]
+
+
+def p_step(x_t, t: int, t_prev: int, x0_hat, sched: DiffusionSchedule) -> np.ndarray:
+    """One deterministic reverse step (DDIM, eta = 0) from level t to
+    t_prev < t: the noise implied by (x_t, predicted x0),
+    eps = (x_t - sqrt(abar_t) x0_hat) / sqrt(1 - abar_t), is carried to
+    sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev) eps. At t_prev = 0 the
+    step returns x0_hat."""
     t = _check_step(t, sched)
+    t_prev = int(t_prev)
+    if not 0 <= t_prev < t:
+        raise InvalidArgumentError(f"previous step {t_prev} outside 0..{t - 1}")
     x_t = np.asarray(x_t, dtype=np.float64)
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     if x_t.shape != x0_hat.shape:
         raise InvalidArgumentError("x_t and x0_hat must share a shape")
-    _, _, post_x0, post_xt, sigma = sched.coefficients[t - 1]
-    mean = post_x0 * x0_hat + post_xt * x_t
-    if t == 1:
-        return mean
-    if noise is None:
-        raise InvalidArgumentError("steps with t > 1 require noise")
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != x_t.shape:
-        raise InvalidArgumentError("noise must match x_t's shape")
-    return mean + sigma * noise
+    if t_prev == 0:
+        return x0_hat
+    fwd_x0, fwd_noise = sched.coefficients[t - 1]
+    prev_x0, prev_noise = sched.coefficients[t_prev - 1]
+    eps = (x_t - fwd_x0 * x0_hat) / fwd_noise
+    return prev_x0 * x0_hat + prev_noise * eps
 
 
 @dataclass(frozen=True)
@@ -240,12 +224,12 @@ def guided_x0(d: Denoiser, x_t, t: int, cond: Condition,
 
 def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
            seed, gamma: float = 1.0, fps=DEFAULT_FPS) -> MotionSequence:
-    """Draw x_T ~ N(0, I) and denoise down to x0. Deterministic per seed.
+    """Draw x_T ~ N(0, I) and denoise it to x0 over reverse_steps(T).
+    Deterministic per seed.
 
-    The noise comes from StepNoise(seed), one keyed step per level, with
-    the same values wherever _step_blocks draws it. The motion has one
-    frame per audio row of cond and one channel per entry of its seed
-    motion."""
+    x_T is StepNoise(seed)'s normals of step T, the draw's only noise. The
+    motion has one frame per audio row of cond and one channel per entry
+    of its seed motion."""
     x = _reverse_chain(d, cond, sched, [seed], gamma)
     return MotionSequence(x, fps)
 
@@ -256,10 +240,10 @@ def sample_heads(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     each seed, as one (len(seeds), rows, C) block. d must be frame-local.
 
     One reverse chain denoises the heads stacked into a
-    (len(seeds) * rows, C) array. Each step draws only the (rows, C)
+    (len(seeds) * rows, C) array. Its x_T holds only the (rows, C)
     normals of each seed, as sample draws them: a keyed step's first rows
-    are the rows a full draw takes, so the noise matches a full draw's
-    exactly.
+    are the rows a full draw takes, so x_T matches a full draw's first
+    rows exactly, and every later step acts row by row.
 
     The denoised heads match the full draws' first rows to rounding, not
     bit for bit: a matrix product over fewer rows may sum in another
@@ -276,59 +260,16 @@ def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
                    seeds, gamma: float) -> np.ndarray:
     """Denoise len(seeds) blocks stacked along cond's rows down to x0.
 
-    Each step's normals are a step_block of StepNoise(seed) for every
-    seed, taken in order from _step_blocks: x_T at step T, then the
-    noise that reverse step t adds to form x_{t-1} at step t - 1."""
+    x_T is the step_block of StepNoise(seed) for every seed at step T;
+    each level of reverse_steps(T) then takes one guided_x0 and one
+    p_step to the next level, the last to 0."""
     shape = (cond.audio.shape[0], cond.seed_motion.size)
     d = d.bind(cond)
-    with closing(_step_blocks(seeds, shape, sched.n_steps)) as blocks:
-        x = next(blocks)
-        for t in range(sched.n_steps, 0, -1):
-            x0h = guided_x0(d, x, t, cond, gamma)
-            x = p_step(x, t, x0h, sched, next(blocks) if t > 1 else None)
+    steps = reverse_steps(sched.n_steps)
+    x = step_block([StepNoise(s) for s in seeds], steps[0], np.empty(shape))
+    for t, t_prev in zip(steps, steps[1:] + [0]):
+        x = p_step(x, t, t_prev, guided_x0(d, x, t, cond, gamma), sched)
     return x
-
-
-def _step_blocks(seeds, shape, n_steps: int):
-    """A chain's step blocks, steps n_steps..1, each a fresh `shape` array.
-
-    A chain of at least AHEAD_NORMALS normals, on a process that may run
-    on two or more cores, draws them in a worker thread at most
-    AHEAD_BLOCKS ahead of the caller, which draws the blocks the thread
-    has not started itself: the due one, and the last queued one while
-    the thread draws the due one. Each side has its own StepNoise
-    generators (a Generator serves one thread at a time); the blocks are
-    keyed, so both draw the same bytes. The thread is joined when the
-    iterator ends or is closed, which the caller must do."""
-    noise = [StepNoise(s) for s in seeds]
-    steps = range(n_steps, 0, -1)
-    if n_steps * shape[0] * shape[1] < AHEAD_NORMALS or usable_cores() < 2:
-        yield from (step_block(noise, step, np.empty(shape)) for step in steps)
-        return
-    theirs = [StepNoise(s) for s in seeds]
-    pool = ThreadPoolExecutor(1)
-    try:
-        def ahead(step):
-            return pool.submit(step_block, theirs, step, np.empty(shape))
-
-        def here(step):
-            drawn = Future()
-            drawn.set_result(step_block(noise, step, np.empty(shape)))
-            return drawn
-
-        queued = deque(map(ahead, steps[:AHEAD_BLOCKS]))
-        for step in steps:
-            due = queued.popleft()
-            if due.cancel():
-                due = here(step)
-            elif not due.done() and queued and queued[-1].cancel():
-                queued[-1] = here(step - len(queued))  # drawn while the thread draws `due`
-            block = due.result()
-            if step > AHEAD_BLOCKS:
-                queued.append(ahead(step - AHEAD_BLOCKS))
-            yield block
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _pair(x0, x0_hat):

@@ -96,10 +96,8 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     replaced by a spline fit through 5 knot frames on each side; gap = 0
     concatenates as-is.
 
-    Each chain draws its own step noise: ahead in a worker thread when
-    it is large enough (each full draw on the default rig, not its head
-    passes) and in-process otherwise (see diffusion._step_blocks). No
-    thread outlives its chain, and the bytes are the same either way.
+    Each chain draws only its x_T, in-process; its reverse steps add no
+    noise, so the bytes do not depend on how many cores the process has.
 
     Returns (motion, report) where report rows are
     (segment, candidate, CandidateScore, selected).

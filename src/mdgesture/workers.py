@@ -1,10 +1,9 @@
 """Forked worker processes: how many cores a caller may fork onto, a fork
 that reports the exception its child failed with, and the join.
 
-The render pool forks through here; the sampler reads usable_cores to
-decide whether a chain draws its noise ahead in a thread. A child
-leaves through os._exit: it never returns into the caller and never
-flushes the stdio buffers it inherited.
+The render pool forks through here. A child leaves through os._exit: it
+never returns into the caller and never flushes the stdio buffers it
+inherited.
 """
 
 from __future__ import annotations

@@ -776,6 +776,28 @@ def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
     assert not out.exists() and not scores.exists() and not frames.exists()
 
 
+# Each size is far beyond a 47-bit address space (128 TiB), so numpy's
+# allocation is refused at once whatever the kernel's overcommit setting:
+# hidden = 10**12 asks for about 225 TiB of TOY_CFG weights, T = 10**14
+# for 727 TiB of schedule grid.
+@pytest.mark.parametrize("command, key, value", [("train", "hidden", 10**12),
+                                                 ("generate", "T", 10**14)])
+def test_out_of_memory_is_clean_error(pipeline, tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(TOY_CFG, key, str(value)))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(pipeline.data)]
+    else:
+        argv = ["generate", "--params", str(pipeline.model),
+                "--features", str(pipeline.data / "seq_0000.mdaf"),
+                "--seed-motion", str(pipeline.data / "seq_0000.mdsq")]
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.fixture(scope="module")
 def writer_inputs(pipeline, wav_path, tmp_path_factory):
     """Inputs for every command that writes files, in one directory."""

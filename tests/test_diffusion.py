@@ -17,6 +17,7 @@ from mdgesture.diffusion import (
     make_schedule,
     p_step,
     q_sample,
+    reverse_steps,
     sample,
     sample_heads,
     time_embedding,
@@ -147,14 +148,9 @@ class TestPStep:
         sched = make_schedule(50, "cosine")
         x1 = rng.normal(size=(3, 2))
         x0h = rng.normal(size=(3, 2))
-        a = p_step(x1, 1, x0h, sched)
-        b = p_step(x1, 1, x0h, sched)
+        a = p_step(x1, 1, 0, x0h, sched)
+        b = p_step(x1, 1, 0, x0h, sched)
         assert np.array_equal(a, b)
-
-    def test_noise_required_above_t1(self, rng):
-        sched = make_schedule(50, "cosine")
-        with pytest.raises(InvalidArgumentError):
-            p_step(np.zeros((2, 2)), 5, np.zeros((2, 2)), sched)
 
     def test_posterior_variance_below_beta(self):
         for kind in ("linear", "cosine"):
@@ -167,12 +163,25 @@ class TestPStep:
     def test_oracle_chain_recovers_x0(self, rng):
         sched = make_schedule(50, "cosine")
         x0 = rng.normal(size=(4, 6))
-        g = generator(7)
-        x = q_sample(x0, 50, g.standard_normal(x0.shape), sched)
-        for t in range(50, 0, -1):
-            noise = g.standard_normal(x0.shape) if t > 1 else None
-            x = p_step(x, t, x0, sched, noise)
-        assert np.max(np.abs(x - x0)) < 1e-8
+        x = q_sample(x0, 50, generator(7).standard_normal(x0.shape), sched)
+        steps = reverse_steps(50)
+        for t, t_prev in zip(steps, steps[1:] + [0]):
+            x = p_step(x, t, t_prev, x0, sched)
+        assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("t_steps", [1, 2, 7, 10, 11, 50])
+    def test_reverse_steps_are_a_decreasing_subsequence(self, t_steps):
+        steps = reverse_steps(t_steps)
+        assert steps[0] == t_steps
+        assert all(a > b for a, b in zip(steps, steps[1:]))
+        assert steps[-1] >= 1
+        assert len(steps) == min(t_steps, 10)
+
+    @pytest.mark.parametrize("t, t_prev", [(5, 5), (5, 6), (5, -1), (0, 0), (51, 3)])
+    def test_step_pair_checked(self, t, t_prev):
+        sched = make_schedule(50, "cosine")
+        with pytest.raises(InvalidArgumentError):
+            p_step(np.zeros((2, 2)), t, t_prev, np.zeros((2, 2)), sched)
 
 
 class TestGuidance:
@@ -439,17 +448,13 @@ class TestTraining:
 # before the coefficient table, bind and the trimmed gradient. The fast
 # path must equal them bit for bit (np.array_equal), not to a tolerance.
 
-def reference_p_step(x_t, t, x0_hat, sched, noise):
-    ab_t = sched.alpha_bar[t - 1]
-    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
-    beta_t = sched.beta[t - 1]
-    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-    coefx = math.sqrt(sched.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
-    mean = coef0 * x0_hat + coefx * x_t
-    if t == 1:
-        return mean
-    var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-    return mean + math.sqrt(var) * noise
+def reference_p_step(x_t, t, t_prev, x0_hat, sched):
+    """DDIM with eta = 0 from level t to t_prev, sqrt taken at the step."""
+    if t_prev == 0:
+        return x0_hat
+    ab_t, ab_prev = sched.alpha_bar[t - 1], sched.alpha_bar[t_prev - 1]
+    eps = (x_t - math.sqrt(ab_t) * x0_hat) / math.sqrt(1.0 - ab_t)
+    return math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps
 
 
 def reference_preactivation(model, x_t, t, cond):
@@ -470,15 +475,14 @@ def reference_guided(model, x_t, t, cond, gamma):
 
 
 def reference_chain(model, cond, sched, seeds, rows, gamma):
-    noise = [StepNoise(s) for s in seeds]
-
-    def normals(step):
-        return np.concatenate([n.normals(step, (rows, model.n_channels)) for n in noise])
-
-    x = normals(sched.n_steps)
-    for t in range(sched.n_steps, 0, -1):
+    big_t = sched.n_steps
+    x = np.concatenate([StepNoise(s).normals(big_t, (rows, model.n_channels))
+                        for s in seeds])
+    n = min(big_t, 10)
+    steps = [math.ceil(i * big_t / n) for i in range(n, 0, -1)] + [0]
+    for t, t_prev in zip(steps, steps[1:]):
         x0h = reference_guided(model, x, t, cond, gamma)
-        x = reference_p_step(x, t, x0h, sched, normals(t - 1) if t > 1 else None)
+        x = reference_p_step(x, t, t_prev, x0h, sched)
     return x
 
 
@@ -547,31 +551,27 @@ class TestSameBitsAsPerStepCode:
     def test_coefficient_table_is_the_scalar_formulas(self, kind, t_steps):
         s = make_schedule(t_steps, kind)
         assert len(s.coefficients) == t_steps
-        for t, (fwd_x0, fwd_noise, post_x0, post_xt, sigma) in enumerate(
-                s.coefficients, start=1):
+        for t, (fwd_x0, fwd_noise) in enumerate(s.coefficients, start=1):
             ab_t = s.alpha_bar[t - 1]
-            ab_prev = s.alpha_bar[t - 2] if t > 1 else 1.0
-            beta_t = s.beta[t - 1]
             assert fwd_x0 == math.sqrt(ab_t)
             assert fwd_noise == math.sqrt(1.0 - ab_t)
-            assert post_x0 == math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-            assert post_xt == math.sqrt(s.alpha[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
-            assert sigma == math.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * beta_t)
         assert s.coefficients is s.coefficients
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_bound_chain_draws_equal_the_unbound_steps(self, gamma):
-        m, c, sched = 12, 8, make_schedule(6, "cosine")
+        m, c = 12, 8
         model = MlpDenoiser(c, 3, hidden=16, embed=4, seed=3)
         model.set_flat(generator(9).normal(size=model.get_flat().shape))  # b1, b2 nonzero
         cond = tiny_condition(m, c)
-        got = sample(model, cond, sched, seed=(4, 1), gamma=gamma).frames
-        assert np.array_equal(got, reference_chain(model, cond, sched, [(4, 1)], m, gamma))
         seeds = [(4, 1, p) for p in range(3)]
-        heads = sample_heads(model, cond, sched, seeds, 5, gamma)
         tiled = Condition(np.tile(cond.audio[:5], (3, 1)), cond.seed_motion)
-        want = reference_chain(model, tiled, sched, seeds, 5, gamma)
-        assert np.array_equal(heads, want.reshape(3, 5, c))
+        for t_steps in (6, 23):  # every step, and 10 of 23
+            sched = make_schedule(t_steps, "cosine")
+            got = sample(model, cond, sched, seed=(4, 1), gamma=gamma).frames
+            assert np.array_equal(got, reference_chain(model, cond, sched, [(4, 1)], m, gamma))
+            heads = sample_heads(model, cond, sched, seeds, 5, gamma)
+            want = reference_chain(model, tiled, sched, seeds, 5, gamma)
+            assert np.array_equal(heads, want.reshape(3, 5, c))
 
     def test_bound_view_follows_parameter_writes(self):
         model = MlpDenoiser(4, 3, hidden=8, embed=4, seed=1)

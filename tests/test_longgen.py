@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -521,3 +523,31 @@ def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
         return {tuple(generator(*k).bit_generator.state["state"]["key"]) for k in keys}
 
     assert not philox_keys(data_keys) & philox_keys(sample_keys)
+
+
+def test_default_rig_draws_only_x_T_in_process(monkeypatch):
+    """A 3-segment call on the default rig (c = 200, p = 5) forks no
+    process, starts no thread, and draws noise once per seed per chain:
+    its x_T, at step T. Segment 0 is one chain on one seed; segments 1
+    and 2 each run a head pass on p seeds and a full chain on the winner's."""
+    drawn = []
+    normals = rng.StepNoise.normals
+
+    def counted(self, step, shape, out=None):
+        drawn.append((self, step))  # holding self keeps each id unique
+        return normals(self, step, shape, out)
+
+    def refused(*args):
+        raise AssertionError("sampling forked or started a thread")
+
+    monkeypatch.setattr(rng.StepNoise, "normals", counted)
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = PipelineConfig(k=20, n=5, m=80, t_steps=50, gamma=2.0, p=5, gap=2, seed=5)
+    model = MlpDenoiser(cfg.c, 4, 64, 8, seed=2)
+    cond = synth_condition([0.2, 0.7, 1.1, 3.0], 3 * cfg.m, 25, 4, seed=9)
+    out, _ = generate_long(model, cond, generator(9, 77).normal(size=cfg.c), 3 * cfg.m, cfg)
+    assert out.frames.shape == (3 * cfg.m, cfg.c)
+    assert [step for _, step in drawn] == [cfg.t_steps] * (1 + 2 * (cfg.p + 1))
+    assert len({id(noise) for noise, _ in drawn}) == len(drawn)
