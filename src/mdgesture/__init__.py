@@ -44,7 +44,6 @@ from .flow import (
     FlowField,
     combine_flow,
     deform_grids,
-    identity_flow,
     upsample_flow,
     warp_image,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "generator",
     "gesture_beats",
     "guided_x0",
-    "identity_flow",
     "identity_transform",
     "make_dataset",
     "make_schedule",

@@ -308,16 +308,6 @@ def cmd_generate(args) -> int:
     model = formats.read_denoiser(args.params)
     cond = formats.read_audio_features(args.features)
     seed_vec = formats.read_sequence(args.seed_motion).frames[0]
-    if seed_vec.size != model.n_channels:
-        raise InvalidArgumentError(
-            f"seed motion has {seed_vec.size} channels, "
-            f"model expects {model.n_channels}"
-        )
-    if cond.n_channels != model.n_audio:
-        raise InvalidArgumentError(
-            f"features have {cond.n_channels} channels, "
-            f"model expects {model.n_audio}"
-        )
     src_img = (_render_source(args.render_src, cfg, model.n_channels)
                if args.render_src else None)
     if args.frames is not None:

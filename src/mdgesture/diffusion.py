@@ -22,15 +22,16 @@ blends the two hidden activations and applies the output layer once.
 Work constant along a reverse chain is done once: q_sample and p_step
 read the schedule's table of step coefficients, and a chain calls
 Denoiser.bind once, whose MLP view checks the condition and holds its
-audio and seed terms (w1e emb_t is kept per model and step). Each value
-comes from the same float operations in the same order as per-step code
-that rebuilds it, so draws and trained models equal that code's bit for
-bit. guided_x0, p_step, q_sample and loss_gradients are still called
-once per step: they are the layers the benchmark's tracer times.
+audio and seed terms. The view's hidden layer is the MLP's one forward
+pass: sampling applies the output layer to it, and training takes its
+activations from it too. Each value comes from the same float
+operations in the same order as per-step code that rebuilds it, so
+draws and trained models equal that code's bit for bit. guided_x0,
+p_step, q_sample and loss_gradients are still called once per step:
+they are the layers the benchmark's tracer times.
 
-A reverse chain draws one block of normals, x_T, as the rng.step_block
-of each seed's StepNoise at step T; every step after it is
-deterministic.
+A reverse chain draws one block of normals, x_T: each seed's
+rng.step_normals at step T; every step after it is deterministic.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .config import PipelineConfig
 from .errors import InvalidArgumentError, NumericsError
 from .fileio import F32_MAX
 from .motion import DEFAULT_FPS, MotionSequence
-from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, StepNoise, generator, step_block
+from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, generator, step_normals
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
 
@@ -227,7 +228,7 @@ def sample(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
     """Draw x_T ~ N(0, I) and denoise it to x0 over reverse_steps(T).
     Deterministic per seed.
 
-    x_T is StepNoise(seed)'s normals of step T, the draw's only noise. The
+    x_T is step_normals(seed, T, ...), the draw's only noise. The
     motion has one frame per audio row of cond and one channel per entry
     of its seed motion."""
     x = _reverse_chain(d, cond, sched, [seed], gamma)
@@ -260,13 +261,15 @@ def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
                    seeds, gamma: float) -> np.ndarray:
     """Denoise len(seeds) blocks stacked along cond's rows down to x0.
 
-    x_T is the step_block of StepNoise(seed) for every seed at step T;
-    each level of reverse_steps(T) then takes one guided_x0 and one
-    p_step to the next level, the last to 0."""
-    shape = (cond.audio.shape[0], cond.seed_motion.size)
+    x_T stacks each seed's step_normals at step T; each level of
+    reverse_steps(T) then takes one guided_x0 and one p_step to the next
+    level, the last to 0."""
     d = d.bind(cond)
     steps = reverse_steps(sched.n_steps)
-    x = step_block([StepNoise(s) for s in seeds], steps[0], np.empty(shape))
+    x = np.empty((cond.audio.shape[0], cond.seed_motion.size))
+    rows = x.shape[0] // len(seeds)
+    for i, seed in enumerate(seeds):
+        step_normals(seed, steps[0], (rows, x.shape[1]), x[i * rows:(i + 1) * rows])
     for t, t_prev in zip(steps, steps[1:] + [0]):
         x = p_step(x, t, t_prev, guided_x0(d, x, t, cond, gamma), sched)
     return x
@@ -362,7 +365,6 @@ class MlpDenoiser(Denoiser):
         c, c_a = self.n_channels, self.n_audio
         self._blocks = (slice(0, c), slice(c, c + c_a),  # w1's column blocks
                         slice(c + c_a, 2 * c + c_a), slice(2 * c + c_a, None))
-        self._emb_terms = (None, {})  # see _embedding_terms
         lim1 = math.sqrt(6.0 / (self.w1.shape[1] + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
         self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
@@ -376,23 +378,16 @@ class MlpDenoiser(Denoiser):
 
     def bind(self, cond: Condition) -> "_BoundMlp":
         """Check cond's audio width and seed size once; return a view that
-        serves one reverse chain on cond (see _BoundMlp)."""
-        self._check_condition(cond)
-        return _BoundMlp(self, cond)
-
-    def _check_condition(self, cond: Condition) -> None:
+        serves one reverse chain or training window on cond (see
+        _BoundMlp)."""
         if cond.audio.shape[1] != self.n_audio:
-            raise InvalidArgumentError("audio must be (M, C_a)")
-        if cond.seed_motion.shape != (self.n_channels,):
-            raise InvalidArgumentError("seed motion must be a C-vector")
-
-    def _embedding_terms(self) -> dict:
-        """w1e emb_t by step t for every bound view; emptied when w1's
-        embedding block has changed since it was filled."""
-        w1e = self.w1[:, self._blocks[3]]
-        if not np.array_equal(self._emb_terms[0], w1e):
-            self._emb_terms = (w1e.copy(), {})
-        return self._emb_terms[1]
+            raise InvalidArgumentError(
+                f"audio has {cond.audio.shape[1]} channels, model expects {self.n_audio}")
+        if cond.seed_motion.size != self.n_channels:
+            raise InvalidArgumentError(
+                f"seed motion has {cond.seed_motion.size} channels, "
+                f"model expects {self.n_channels}")
+        return _BoundMlp(self, cond)
 
     def _check_frames(self, x_t, cond: Condition) -> np.ndarray:
         """x_t as a float array, checked to be (M, C) for cond's M rows."""
@@ -416,16 +411,11 @@ class MlpDenoiser(Denoiser):
     def loss_gradients(self, x0, x_t, t: int, cond: Condition,
                        lambda_vel: float = 1.0, lambda_acc: float = 1.0):
         """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
-        by PARAM_NAMES. Returns the grads alone: the loss is not computed."""
+        by PARAM_NAMES. Returns the grads alone: the loss is not computed.
+        The forward pass is the bound view's hidden layer, as in sampling."""
         x0 = np.asarray(x0, dtype=np.float64)
         x_t = self._check_frames(x_t, cond)
-        self._check_condition(cond)
-        emb = time_embedding(t, self.embed)
-        xs, au, sd, em = self._blocks
-        w1 = self.w1
-        pre = x_t @ w1[:, xs].T
-        pre += w1[:, sd] @ cond.seed_motion + w1[:, em] @ emb + self.b1
-        h = np.tanh(pre + cond.audio @ w1[:, au].T)
+        h = self.bind(cond).hidden(x_t, t, 1.0)
         y = h @ self.w2.T + self.b2
         m = x0.shape[0]
         if x0.shape != y.shape:
@@ -451,11 +441,12 @@ class MlpDenoiser(Denoiser):
         np.subtract(1.0, dpre, out=dpre)
         dpre *= g @ self.w2
         db1 = np.add.reduce(dpre, axis=0)
-        dw1 = np.empty_like(w1)
+        xs, au, sd, em = self._blocks
+        dw1 = np.empty_like(self.w1)
         np.matmul(dpre.T, x_t, out=dw1[:, xs])
         np.matmul(dpre.T, cond.audio, out=dw1[:, au])
         np.multiply(db1[:, None], cond.seed_motion, out=dw1[:, sd])
-        np.multiply(db1[:, None], emb, out=dw1[:, em])
+        np.multiply(db1[:, None], time_embedding(t, self.embed), out=dw1[:, em])
         return {"w2": g.T @ h, "b2": np.add.reduce(g, axis=0), "w1": dw1, "b1": db1}
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -472,40 +463,35 @@ class MlpDenoiser(Denoiser):
 
 
 class _BoundMlp(Denoiser):
-    """An MlpDenoiser bound to one chain's condition: it holds audio w1a^T
-    and w1s seed, and step t adds the row (w1s seed + w1e emb_t) + b1, in
-    the unbound model's order. x_t is not checked: the chain shapes it."""
-
-    frame_local = True
+    """An MlpDenoiser bound to one condition: it holds audio w1a^T and
+    w1s seed, and step t adds the row (w1s seed + w1e emb_t) + b1, in the
+    unbound model's order. x_t is not checked: the caller shapes it."""
 
     def __init__(self, model: MlpDenoiser, cond: Condition):
-        xs, au, sd, _ = model._blocks
+        xs, au, sd, em = model._blocks
         w1 = model.w1
         self.cond = cond
         self._model = model
         self._wx = w1[:, xs].T
+        self._w1e = w1[:, em]
         self._audio = cond.audio @ w1[:, au].T
         self._seed = w1[:, sd] @ cond.seed_motion
-        self._emb_terms = model._embedding_terms()
 
-    def predict(self, x_t, t: int, cond: Condition) -> np.ndarray:
-        return self.guided(x_t, t, cond, 1.0)
+    def hidden(self, x_t, t: int, gamma: float) -> np.ndarray:
+        """The tanh layer at step t, the MLP's one forward pass: the
+        conditional branch's activations, blended with the audio-masked
+        branch's by gamma * cond + (1 - gamma) * null when gamma != 1."""
+        model = self._model
+        pre = x_t @ self._wx
+        pre += self._seed + self._w1e @ time_embedding(t, model.embed) + model.b1
+        if gamma == 1.0:
+            return np.tanh(pre + self._audio)
+        return gamma * np.tanh(pre + self._audio) + (1.0 - gamma) * np.tanh(pre)
 
     def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
         if cond is not self.cond:
             raise InvalidArgumentError("the denoiser is bound to another condition")
-        model = self._model
-        emb = self._emb_terms.get(t)
-        if emb is None:
-            w1e = model.w1[:, model._blocks[3]]
-            emb = self._emb_terms[t] = w1e @ time_embedding(t, model.embed)
-        pre = x_t @ self._wx
-        pre += self._seed + emb + model.b1
-        if gamma == 1.0:
-            h = np.tanh(pre + self._audio)
-        else:
-            h = gamma * np.tanh(pre + self._audio) + (1.0 - gamma) * np.tanh(pre)
-        return h @ model.w2.T + model.b2
+        return self.hidden(x_t, t, gamma) @ self._model.w2.T + self._model.b2
 
 
 def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:

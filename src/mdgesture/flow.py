@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .ppm import RasterImage
-from .tps import eval_tps_grid, lattice_axes, normalized_lattice
+from .tps import eval_tps_grid, lattice_axes
 from .workspace import Workspace
 
 FLOW_RESOLUTION = 64  # native resolution of composed flow fields
@@ -73,10 +73,6 @@ class FlowField:
     def valid_mask(self) -> np.ndarray:
         shape = self.map.shape[:2]
         return ~_occluded(self.map, np.empty((2,) + shape), np.empty(shape, np.bool_))
-
-
-def identity_flow(height: int, width: int) -> FlowField:
-    return FlowField(normalized_lattice(height, width))
 
 
 def deform_grids(transforms, height: int, width: int,
@@ -177,7 +173,7 @@ def _lerp(a, b, index, g, f, out, tap, axis=None):
 
 
 def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
-              ws: Workspace | None = None) -> np.ndarray:
+              ws: Workspace) -> np.ndarray:
     """Sample (H, W, C) `field` at fractional pixel positions.
 
     Exact on integer positions: a zero fraction contributes the source
@@ -188,7 +184,6 @@ def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
     px and py are overwritten. Returns an (..., C) view of a (C, ...)
     buffer of `ws`.
     """
-    ws = Workspace() if ws is None else ws
     h, w, ch = field.shape
     shape = px.shape
     x0, fx = _taps(px, w, ws.get("bilinear.x0", shape, np.intp))

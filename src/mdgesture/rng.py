@@ -3,8 +3,8 @@
 Every stochastic operation in the package draws from a generator built
 here, so a fixed seed yields the same stream regardless of how work is
 batched or threaded. Philox is counter-based, which is what makes that
-guarantee cheap to keep: StepNoise sets the counter to jump straight to
-one reverse step's noise.
+guarantee cheap to keep: step_normals sets the counter to jump straight
+to one reverse step's noise.
 
 Every package key ends in a nonzero tag naming its stream's purpose,
 from the table below. SeedSequence pads a key shorter than four words
@@ -23,7 +23,7 @@ AUDIO_TAG = 0xA0D1  # synth_condition, (seed, AUDIO_TAG)
 INIT_TAG = 0xD1FF  # MlpDenoiser weights, (seed, INIT_TAG)
 BATCH_TAG = 1  # train_denoiser minibatches, (seed, BATCH_TAG)
 PROBE_TAG = 2  # train_denoiser probe batch, (seed, PROBE_TAG)
-NOISE_TAG = 0x4E4F4953  # "NOIS": every StepNoise key, (seed, NOISE_TAG)
+NOISE_TAG = 0x4E4F4953  # "NOIS": every step_normals key, (seed, NOISE_TAG)
 
 
 def generator(*seed_parts) -> np.random.Generator:
@@ -43,36 +43,22 @@ def generator(*seed_parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-class StepNoise:
-    """Standard normals of one diffusion draw, keyed by (seed, step).
+def step_normals(seed, step: int, shape, out=None) -> np.ndarray:
+    """Standard normals of one diffusion draw, keyed by (seed, step),
+    written into `out` when given (a float64 array of `shape`).
 
     The Philox key is generator(seed, NOISE_TAG)'s, so sampling keys
-    have a space of their own. Before each draw the 4-word counter is set
-    to (0, step, 0, 0): word 0 runs within the step, word 1 holds it.
-    A step's (rows, C) normals are therefore the first rows of its
-    (m, C) normals, and no step reads another's words (that would take
-    2^64 blocks). Steps start at 1, so a sequential generator on the same
-    key, whose counter is (n, 0, 0, 0), never reads a step's words.
+    have a space of their own. The 4-word counter starts at (0, step, 0,
+    0): word 0 runs within the step, word 1 holds it. A step's (rows, C)
+    normals are therefore the first rows of its (m, C) normals, and no
+    step reads another's words (that would take 2^64 blocks). Steps
+    start at 1, so a sequential generator on the same key, whose counter
+    is (n, 0, 0, 0), never reads a step's words.
     """
-
-    def __init__(self, seed):
-        self._gen = generator(seed, NOISE_TAG)
-        # counter 0 and an empty buffer: the first word after each reset
-        # comes from the step's own counter
-        self._state = self._gen.bit_generator.state
-
-    def normals(self, step: int, shape, out=None) -> np.ndarray:
-        """Step `step`'s normals of `shape`, written into `out` when given
-        (a float64 array of that shape); the values do not depend on it."""
-        self._state["state"]["counter"][1] = step
-        self._gen.bit_generator.state = self._state
-        return self._gen.standard_normal(shape, out=out)
-
-
-def step_block(noise, step: int, out) -> np.ndarray:
-    """Fill out, a (len(noise) * rows, C) float64 array, with each
-    StepNoise's (rows, C) normals of `step`, stacked in order; returns out."""
-    rows = out.shape[0] // len(noise)
-    for i, n in enumerate(noise):
-        n.normals(step, (rows, out.shape[1]), out[i * rows:(i + 1) * rows])
-    return out
+    gen = generator(seed, NOISE_TAG)
+    # a fresh generator's buffer is empty, so the first word comes from
+    # the step's own counter
+    state = gen.bit_generator.state
+    state["state"]["counter"][1] = step
+    gen.bit_generator.state = state
+    return gen.standard_normal(shape, out=out)

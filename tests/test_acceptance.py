@@ -34,7 +34,6 @@ from mdgesture.flow import (
     FlowField,
     combine_flow,
     deform_grids,
-    identity_flow,
     warp_image,
 )
 from mdgesture.longgen import generate_long
@@ -125,7 +124,7 @@ def test_2_flow_warp(capsys):
     for i, (h, w) in enumerate([(17, 33), (31, 47), (64, 64)]):
         g = generator(2001, i)
         img = from_bytes_array(g.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
-        out = warp_image(img, identity_flow(h, w))
+        out = warp_image(img, FlowField(normalized_lattice(h, w)))
         c.check(
             write_pnm(out) == write_pnm(img), f"identity not byte-exact {h}x{w}"
         )
@@ -617,7 +616,7 @@ def test_8_formats(toy_run, tmp_path, capsys):
     transform_blob = formats.transform_to_bytes(
         solve_tps(dst + 0.1 * g.normal(size=(5, 2)), dst)
     )
-    fmap = identity_flow(6, 8).map.copy()
+    fmap = FlowField(normalized_lattice(6, 8)).map.copy()
     fmap[2, 3] = (1.5, 0.0)
     flow_blob = formats.flow_to_bytes(FlowField(fmap))
     sequence_blob = (toy_run.data / "seq_0000.mdsq").read_bytes()

@@ -534,16 +534,32 @@ class TestGenerate:
         assert formats.read_sequence(out).n_frames == 5
         assert data_lines(scores) == ["segment,candidate,position,angle,total,selected"]
 
-    def test_seed_motion_channel_mismatch(self, pipeline, tmp_path):
+    def test_seed_motion_channel_mismatch(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.mdsq"
         formats.write_sequence(bad, MotionSequence(np.zeros((3, 4))))
         code = cli.main(
             ["generate", "--config", str(pipeline.cfg),
              "--params", str(pipeline.model),
              "--features", str(pipeline.data / "seq_0000.mdaf"),
-             "--seed-motion", str(bad), "--out", str(tmp_path / "o")]
+             "--seed-motion", str(bad), "--out", str(tmp_path / "o"),
+             "--scores", str(tmp_path / "s.csv")]
         )
         assert code == 2
+        assert "seed motion has 4 channels, model expects 8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_feature_channel_mismatch(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.mdaf"
+        formats.write_audio_features(bad, AudioCondition(np.zeros((12, 3)), 25))
+        code = cli.main(
+            ["generate", "--config", str(pipeline.cfg),
+             "--params", str(pipeline.model), "--features", str(bad),
+             "--seed-motion", str(pipeline.data / "seq_0000.mdsq"),
+             "--out", str(tmp_path / "o"), "--scores", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert "audio has 3 channels, model expects 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s.csv").exists()
 
     def test_corrupt_features(self, pipeline, tmp_path):
         bad = tmp_path / "bad.mdaf"

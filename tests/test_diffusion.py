@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mdgesture import diffusion
 from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import (
     Condition,
@@ -25,7 +26,7 @@ from mdgesture.diffusion import (
     train_denoiser,
 )
 from mdgesture.errors import InvalidArgumentError
-from mdgesture.rng import BATCH_TAG, StepNoise, generator
+from mdgesture.rng import BATCH_TAG, generator, step_normals
 
 
 class ConstantDenoiser(Denoiser):
@@ -476,7 +477,7 @@ def reference_guided(model, x_t, t, cond, gamma):
 
 def reference_chain(model, cond, sched, seeds, rows, gamma):
     big_t = sched.n_steps
-    x = np.concatenate([StepNoise(s).normals(big_t, (rows, model.n_channels))
+    x = np.concatenate([step_normals(s, big_t, (rows, model.n_channels))
                         for s in seeds])
     n = min(big_t, 10)
     steps = [math.ceil(i * big_t / n) for i in range(n, 0, -1)] + [0]
@@ -576,7 +577,7 @@ class TestSameBitsAsPerStepCode:
     def test_bound_view_follows_parameter_writes(self):
         model = MlpDenoiser(4, 3, hidden=8, embed=4, seed=1)
         cond, sched = tiny_condition(6, 4), make_schedule(4, "linear")
-        sample(model, cond, sched, seed=2, gamma=2.0)  # fills the embedding table
+        sample(model, cond, sched, seed=2, gamma=2.0)  # a chain before the write
         model.w1[...] *= 0.5
         got = sample(model, cond, sched, seed=2, gamma=2.0).frames
         assert np.array_equal(got, reference_chain(model, cond, sched, [2], 6, 2.0))
@@ -593,15 +594,19 @@ class TestSameBitsAsPerStepCode:
         for name in MlpDenoiser.PARAM_NAMES:
             assert np.array_equal(getattr(model, name), getattr(want, name)), name
 
-    @pytest.mark.parametrize("c_a, c", [(2, 4), (3, 5)], ids=["audio_width", "seed_size"])
-    def test_bind_refuses_a_mismatched_condition_before_any_noise(self, monkeypatch, c_a, c):
+    @pytest.mark.parametrize("c_a, c, names", [
+        (2, 4, "audio has 2 channels, model expects 3"),
+        (3, 5, "seed motion has 5 channels, model expects 4"),
+    ], ids=["audio_width", "seed_size"])
+    def test_bind_refuses_a_mismatched_condition_before_any_noise(self, monkeypatch,
+                                                                  c_a, c, names):
         model = MlpDenoiser(4, 3, hidden=8, embed=4)
         bad = Condition(np.zeros((6, c_a)), np.zeros(c))
         drawn = []
-        monkeypatch.setattr(StepNoise, "normals", lambda self, *a: drawn.append(a))
-        with pytest.raises(InvalidArgumentError):
+        monkeypatch.setattr(diffusion, "step_normals", lambda *a: drawn.append(a))
+        with pytest.raises(InvalidArgumentError, match=names):
             model.bind(bad)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=names):
             sample(model, bad, make_schedule(3, "cosine"), seed=0)
         assert drawn == []
 

@@ -9,7 +9,6 @@ from mdgesture.flow import (
     _bilinear,
     combine_flow,
     deform_grids,
-    identity_flow,
     upsample_flow,
     warp_image,
 )
@@ -28,6 +27,7 @@ from mdgesture.tps import (
     normalized_lattice,
     solve_tps,
 )
+from mdgesture.workspace import Workspace
 
 from conftest import random_pairs
 
@@ -101,13 +101,13 @@ class TestWarp:
     def test_identity_exact_at_dyadic_size(self, rng):
         # 17 and 33 make the normalized round trip float-exact
         img = random_image(rng, 17, 33)
-        out = warp_image(img, identity_flow(17, 33))
+        out = warp_image(img, FlowField(normalized_lattice(17, 33)))
         assert np.array_equal(out.data, img.data)
 
     def test_identity_byte_exact_at_awkward_size(self, rng):
         # 31/47 round trips carry ~1e-14 dust; quantization absorbs it
         img = random_image(rng, 31, 47)
-        out = warp_image(img, identity_flow(31, 47))
+        out = warp_image(img, FlowField(normalized_lattice(31, 47)))
         assert write_pnm(out) == write_pnm(img)
 
     def test_one_pixel_shift_matches_interior(self, rng):
@@ -388,7 +388,7 @@ class TestDeform:
 
 class TestMasks:
     def test_identity_all_valid(self):
-        assert not (~identity_flow(6, 6).valid_mask).any()
+        assert not (~FlowField(normalized_lattice(6, 6)).valid_mask).any()
 
     def test_half_plane(self):
         m = normalized_lattice(8, 8).copy()
@@ -409,7 +409,7 @@ class TestMasks:
 
 class TestUpsample:
     def test_identity_upsamples_to_identity(self):
-        up = upsample_flow(identity_flow(9, 9), 17, 17)
+        up = upsample_flow(FlowField(normalized_lattice(9, 9)), 17, 17)
         assert np.max(np.abs(up.map - normalized_lattice(17, 17))) < 1e-12
 
     def test_constant_offset_preserved(self):
@@ -432,4 +432,4 @@ class TestUpsample:
         px = (target[..., 0] + 1.0) * 0.5 * (w - 1)
         py = (target[..., 1] + 1.0) * 0.5 * (h - 1)
         up = upsample_flow(flow, *dst_shape)
-        assert np.array_equal(up.map, _bilinear(flow.map, px, py))
+        assert np.array_equal(up.map, _bilinear(flow.map, px, py, Workspace()))

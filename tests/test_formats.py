@@ -11,7 +11,7 @@ from mdgesture import cli, fileio
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.diffusion import MlpDenoiser
 from mdgesture.errors import FormatError, InvalidArgumentError
-from mdgesture.flow import FlowField, identity_flow
+from mdgesture.flow import FlowField
 from mdgesture.formats import (
     audio_features_from_bytes,
     audio_features_to_bytes,
@@ -31,7 +31,7 @@ from mdgesture.formats import (
 )
 from mdgesture.motion import MotionSequence
 from mdgesture.ppm import RasterImage, write_pnm_file
-from mdgesture.tps import solve_tps
+from mdgesture.tps import normalized_lattice, solve_tps
 
 
 def f32_clean(rng, shape, scale=1.0):
@@ -47,7 +47,7 @@ def transform_bytes(rng):
 
 @pytest.fixture
 def flow_bytes():
-    return flow_to_bytes(identity_flow(9, 9))
+    return flow_to_bytes(FlowField(normalized_lattice(9, 9)))
 
 
 @pytest.fixture
@@ -85,7 +85,7 @@ class TestRoundTrips:
         assert flow_to_bytes(flow_from_bytes(flow_bytes)) == flow_bytes
 
     def test_flow_with_invalid_pixels(self):
-        fmap = identity_flow(5, 7).map.copy()
+        fmap = FlowField(normalized_lattice(5, 7)).map.copy()
         fmap[0, 0] = (2.0, 2.0)
         data = flow_to_bytes(FlowField(fmap))
         back = flow_from_bytes(data)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mdgesture.audio import AudioClip, read_wav, synth_condition, write_wav
 from mdgesture.diffusion import MlpDenoiser
 from mdgesture.errors import FormatError
-from mdgesture.flow import identity_flow
+from mdgesture.flow import FlowField
 from mdgesture.formats import (
     audio_features_from_bytes,
     audio_features_to_bytes,
@@ -31,7 +31,7 @@ from mdgesture.formats import (
 )
 from mdgesture.motion import MotionSequence
 from mdgesture.ppm import RasterImage, parse_pnm, write_pnm
-from mdgesture.tps import solve_tps
+from mdgesture.tps import normalized_lattice, solve_tps
 
 _PTS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]])
 
@@ -40,7 +40,7 @@ _PTS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]])
 CODECS = {
     "transform": (transform_to_bytes(solve_tps(_PTS + 0.1, _PTS)),
                   transform_from_bytes),
-    "flow": (flow_to_bytes(identity_flow(3, 2)), flow_from_bytes),
+    "flow": (flow_to_bytes(FlowField(normalized_lattice(3, 2))), flow_from_bytes),
     "sequence": (sequence_to_bytes(MotionSequence(np.arange(6.0).reshape(3, 2))),
                  sequence_from_bytes),
     "features": (audio_features_to_bytes(synth_condition([0.1], 5, 25, 2, seed=1)),

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from mdgesture import audio, rng, synth
+from mdgesture import audio, diffusion, rng, synth
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.config import PipelineConfig
 from mdgesture.diffusion import (
@@ -512,7 +512,7 @@ def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
     data_keys, sample_keys = set(), set()
     record(synth, data_keys)
     record(audio, data_keys)
-    record(rng, sample_keys)  # rng.StepNoise builds every sampling key
+    record(rng, sample_keys)  # rng.step_normals builds every sampling key
     synth.make_dataset(cfg)
     generate_long(model, cond, generator(3, 77).normal(size=cfg.c), 3 * cfg.m, cfg)
     assert len(sample_keys) == 1 + 2 * cfg.p
@@ -531,23 +531,29 @@ def test_default_rig_draws_only_x_T_in_process(monkeypatch):
     its x_T, at step T. Segment 0 is one chain on one seed; segments 1
     and 2 each run a head pass on p seeds and a full chain on the winner's."""
     drawn = []
-    normals = rng.StepNoise.normals
+    normals = diffusion.step_normals
 
-    def counted(self, step, shape, out=None):
-        drawn.append((self, step))  # holding self keeps each id unique
-        return normals(self, step, shape, out)
+    def counted(seed, step, shape, out=None):
+        drawn.append((seed, step))
+        return normals(seed, step, shape, out)
 
     def refused(*args):
         raise AssertionError("sampling forked or started a thread")
 
-    monkeypatch.setattr(rng.StepNoise, "normals", counted)
+    monkeypatch.setattr(diffusion, "step_normals", counted)
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(threading.Thread, "start", refused)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = PipelineConfig(k=20, n=5, m=80, t_steps=50, gamma=2.0, p=5, gap=2, seed=5)
     model = MlpDenoiser(cfg.c, 4, 64, 8, seed=2)
     cond = synth_condition([0.2, 0.7, 1.1, 3.0], 3 * cfg.m, 25, 4, seed=9)
-    out, _ = generate_long(model, cond, generator(9, 77).normal(size=cfg.c), 3 * cfg.m, cfg)
+    out, report = generate_long(model, cond, generator(9, 77).normal(size=cfg.c),
+                                3 * cfg.m, cfg)
     assert out.frames.shape == (3 * cfg.m, cfg.c)
-    assert [step for _, step in drawn] == [cfg.t_steps] * (1 + 2 * (cfg.p + 1))
-    assert len({id(noise) for noise, _ in drawn}) == len(drawn)
+    want = [cfg.seed]
+    for seg in (1, 2):
+        best = next(cand for s, cand, _, sel in report if s == seg and sel)
+        want += [candidate_seed(cfg.seed, seg, p) for p in range(cfg.p)]
+        want.append(candidate_seed(cfg.seed, seg, best))
+    assert len(want) == 1 + 2 * (cfg.p + 1)
+    assert drawn == [(seed, cfg.t_steps) for seed in want]

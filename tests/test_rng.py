@@ -5,7 +5,7 @@ from mdgesture import audio, diffusion, rng, synth
 from mdgesture.audio import synth_condition
 from mdgesture.config import PipelineConfig
 from mdgesture.longgen import generate_long
-from mdgesture.rng import NOISE_TAG, StepNoise, generator
+from mdgesture.rng import NOISE_TAG, generator, step_normals
 
 TOY = PipelineConfig(k=1, n=2, m=12, stride=6, t_steps=4, steps=3, batch=2,
                      hidden=8, embed=4, sequences=3, c_audio=3, gamma=2.0,
@@ -15,20 +15,22 @@ TOY = PipelineConfig(k=1, n=2, m=12, stride=6, t_steps=4, steps=3, batch=2,
 class TestStepNoise:
     @pytest.mark.parametrize("c", [8, 200])
     def test_head_rows_are_full_draws_first_rows(self, c):
-        noise = StepNoise((7, 1, 2))
-        full = noise.normals(4, (80, c))
+        full = step_normals((7, 1, 2), 4, (80, c))
         for rows in (1, 5, 80):
-            assert np.array_equal(noise.normals(4, (rows, c)), full[:rows])
+            assert np.array_equal(step_normals((7, 1, 2), 4, (rows, c)), full[:rows])
 
     def test_step_does_not_depend_on_earlier_draws(self):
-        fresh = StepNoise(3).normals(2, (5, 8))
-        used = StepNoise(3)
-        used.normals(9, (80, 200))
-        used.normals(1, (3, 7))
-        assert np.array_equal(used.normals(2, (5, 8)), fresh)
+        fresh = step_normals(3, 2, (5, 8))
+        step_normals(3, 9, (80, 200))
+        step_normals(3, 1, (3, 7))
+        generator(3, NOISE_TAG).standard_normal(50)
+        assert np.array_equal(step_normals(3, 2, (5, 8)), fresh)
+        out = np.empty((5, 8))
+        assert step_normals(3, 2, (5, 8), out) is out
+        assert np.array_equal(out, fresh)
 
     def test_steps_and_keys_give_different_blocks(self):
-        blocks = [StepNoise(seed).normals(step, (5, 8))
+        blocks = [step_normals(seed, step, (5, 8))
                   for seed in (0, (0, 1, 0), (0, 1, 1)) for step in (1, 2, 50)]
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
@@ -36,11 +38,11 @@ class TestStepNoise:
 
     def test_apart_from_the_sequential_stream_of_its_key(self):
         sequential = generator(5, NOISE_TAG).standard_normal((2, 8))
-        assert not np.any(StepNoise(5).normals(1, (2, 8)) == sequential)
+        assert not np.any(step_normals(5, 1, (2, 8)) == sequential)
 
     def test_pinned_values(self):
         # any change to the key or counter layout changes every sampled file
-        got = StepNoise((7, 1, 2)).normals(3, (1, 4))[0]
+        got = step_normals((7, 1, 2), 3, (1, 4))[0]
         assert [float(v).hex() for v in got] == [
             "0x1.2d3c6de8e4fb3p-4",
             "-0x1.d7c66b68376d3p-1",
