@@ -353,9 +353,9 @@ def _sequences_in(path, what: str) -> list:
 def _features_for(path, count: int) -> list:
     """Beat sources for `count` generated sequences.
 
-    A single .mdaf file is shared by all sequences; a directory must
-    hold either one file or exactly one per sequence (paired by sorted
-    order).
+    A single .mdaf file is read once and shared by all sequences; a
+    directory must hold either one file or exactly one per sequence
+    (paired by sorted order).
     """
     path = Path(path)
     if path.is_dir():
@@ -364,13 +364,12 @@ def _features_for(path, count: int) -> list:
             raise InvalidArgumentError(f"no .mdaf files in {path}")
     else:
         paths = [path]
-    if len(paths) == 1:
-        paths = paths * count
-    if len(paths) != count:
+    if len(paths) not in (1, count):
         raise InvalidArgumentError(
             f"{len(paths)} feature files for {count} generated sequences"
         )
-    return [formats.read_audio_features(p) for p in paths]
+    conds = [formats.read_audio_features(p) for p in paths]
+    return conds if len(conds) == count else conds * count
 
 
 def cmd_metrics(args) -> int:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .diffusion import Condition, make_schedule, sample, sample_heads
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericsError
+from .fileio import F32_MAX
 from .motion import MotionSequence, spline_fill
 
 WINDOW = 5
@@ -94,7 +95,7 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     sample_heads), and a kept segment is always exactly the full draw on
     the winner's seed. With cfg.gap > 0 every junction's gap frames are
     replaced by a spline fit through 5 knot frames on each side; gap = 0
-    concatenates as-is.
+    concatenates as-is. A kept segment beyond float32 raises NumericsError.
 
     Each chain draws only its x_T, in-process; its reverse steps add no
     noise, so the bytes do not depend on how many cores the process has.
@@ -141,6 +142,8 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
             draws = np.stack([draw(cond_i, seed) for seed in seeds])
             best, scores = select_best(segments[-1], draws) if segments else (0, [])
             kept = draws[best]
+        if not np.all(np.abs(kept) <= F32_MAX):
+            raise NumericsError(f"segment {i} left float32 range")
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
         segments.append(kept)
         start = kept[-1]

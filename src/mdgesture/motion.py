@@ -105,50 +105,6 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def _natural_spline_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline through (t, y).
-
-    y is (n, C); returns (n, C). Natural boundary: zero curvature at both
-    ends. The interior system is tridiagonal and solved by the Thomas
-    algorithm, one sweep shared across channels.
-    """
-    n = t.shape[0]
-    h = np.diff(t)
-    m = np.zeros_like(y)
-    if n == 2:
-        return m
-    diag = 2.0 * (h[:-1] + h[1:]).copy()
-    sup = h[1:].copy()
-    sub = h[:-1].copy()
-    rhs = 6.0 * (
-        (y[2:] - y[1:-1]) / h[1:, None] - (y[1:-1] - y[:-2]) / h[:-1, None]
-    )
-    for i in range(1, n - 2):
-        w = sub[i] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    sol = np.empty_like(rhs)
-    sol[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 4, -1, -1):
-        sol[i] = (rhs[i] - sup[i] * sol[i + 1]) / diag[i]
-    m[1:-1] = sol
-    return m
-
-
-def _spline_eval(t, y, m, q):
-    """Evaluate the cubic with knot second-derivatives m at times q."""
-    j = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.shape[0] - 2)
-    h = (t[j + 1] - t[j])[:, None]
-    lo = (q - t[j])[:, None]
-    hi = (t[j + 1] - q)[:, None]
-    return (
-        m[j] * hi**3 / (6.0 * h)
-        + m[j + 1] * lo**3 / (6.0 * h)
-        + (y[j] / h - m[j] * h / 6.0) * hi
-        + (y[j + 1] / h - m[j + 1] * h / 6.0) * lo
-    )
-
-
 def spline_fill(left, right, gap: int) -> np.ndarray:
     """Fill `gap` frames between two segments with a natural cubic spline.
 
@@ -175,6 +131,19 @@ def spline_fill(left, right, gap: int) -> np.ndarray:
         np.arange(nl + gap, nl + gap + right.shape[0], dtype=np.float64),
     ])
     y = np.vstack([left, right])
-    m = _natural_spline_coeffs(t, y)
-    q = np.arange(nl, nl + gap, dtype=np.float64)
-    return _spline_eval(t, y, m, q)
+    h = np.diff(t)
+    slopes = np.diff(y, axis=0) / h[:, None]
+    # natural ends have zero curvature, so only the interior knots are unknown
+    system = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+    curv = np.linalg.solve(system, 6.0 * np.diff(slopes, axis=0))
+    # the gap lies between knots nl - 1 and nl, rows nl - 2 and nl - 1 of curv
+    a, b = curv[nl - 2], curv[nl - 1]
+    width = t[nl] - t[nl - 1]
+    q = np.arange(nl, nl + gap, dtype=np.float64)[:, None]
+    lo, hi = q - t[nl - 1], t[nl] - q
+    return (
+        a * hi**3 / (6.0 * width)
+        + b * lo**3 / (6.0 * width)
+        + (y[nl - 1] / width - a * width / 6.0) * hi
+        + (y[nl] / width - b * width / 6.0) * lo
+    )

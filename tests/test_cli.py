@@ -574,6 +574,33 @@ class TestGenerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("render", [False, True], ids=["motion", "rendered"])
+    def test_draw_beyond_float32_is_numerics_error(self, pipeline, tmp_path, capsys,
+                                                   render):
+        # a valid model file whose every x0 prediction is 4 * tanh(1) * 3e38
+        # in each channel, past float32: segment 0 is a numeric failure,
+        # found before segment 1 is conditioned on it or a frame is solved
+        model = MlpDenoiser(8, 2, hidden=4, embed=4)
+        model.set_flat(np.zeros_like(model.get_flat()))
+        model.b1[...] = 1.0
+        model.w2[...] = 3e38
+        formats.write_denoiser(tmp_path / "big.mdnn", model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TOY_CFG.replace("k = 2\nn = 2", "k = 1\nn = 4"))
+        src = tmp_path / "src.ppm"
+        src.write_bytes(write_pnm(from_bytes_array(np.zeros((4, 4, 3), np.uint8))))
+        out, scores, frames = (tmp_path / n for n in ("gen.mdsq", "s.csv", "frames"))
+        render_args = ["--render-src", str(src), "--render-dir", str(frames)]
+        assert cli.main(
+            ["generate", "--config", str(cfg), "--params", str(tmp_path / "big.mdnn"),
+             "--features", str(pipeline.data / "seq_0000.mdaf"),
+             "--seed-motion", str(pipeline.data / "seq_0000.mdsq"),
+             "--out", str(out), "--scores", str(scores), "--frames", "24",
+             *(render_args if render else [])]
+        ) == 4
+        assert capsys.readouterr().err.startswith("error: segment 0 left float32 range")
+        assert not out.exists() and not scores.exists() and not frames.exists()
+
     def test_render_flags_must_pair(self, pipeline, tmp_path):
         code, _, _ = self.generate(
             pipeline, tmp_path,
@@ -1097,6 +1124,21 @@ class TestMetrics:
              "--out-dir", str(tmp_path)]
         )
         assert code == 0
+
+    def test_single_feature_file_is_read_once(self, pipeline, tmp_path, monkeypatch):
+        reads = []
+        read = formats.read_audio_features
+        monkeypatch.setattr(formats, "read_audio_features",
+                            lambda path: reads.append(path) or read(path))
+        features = pipeline.data / "seq_0000.mdaf"
+        code = cli.main(
+            ["metrics", "--generated", str(pipeline.data),
+             "--reference", str(pipeline.data),
+             "--features", str(features), "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert reads == [features]
+        assert len(data_lines(tmp_path / "per_sequence.csv")) == 5
 
     def test_feature_count_mismatch(self, pipeline, tmp_path):
         gen = tmp_path / "gen"

@@ -16,7 +16,7 @@ from mdgesture.diffusion import (
     sample,
     sample_heads,
 )
-from mdgesture.errors import InvalidArgumentError
+from mdgesture.errors import InvalidArgumentError, NumericsError
 from mdgesture.longgen import (
     FILL_KNOTS,
     WINDOW,
@@ -186,6 +186,29 @@ def toy_setup(m=12, c=4, m_total=None, seed=3):
     return model, cond, seed_motion
 
 
+# the sample workload's rig (c = 200, p = 5), shortened to 3 segments
+RIG = PipelineConfig(k=20, n=5, m=80, t_steps=50, gamma=2.0, p=5, gap=2, seed=5)
+# the same rig with one 240-frame segment
+SINGLE = PipelineConfig(k=20, n=5, m=3 * RIG.m, t_steps=50, gamma=2.0, p=5, seed=5)
+
+
+@pytest.fixture(scope="module")
+def default_rig():
+    """An untrained default-rig model, 240 frames of audio and a seed pose."""
+    model = MlpDenoiser(RIG.c, 4, 64, 8, seed=2)
+    cond = synth_condition([0.2, 0.7, 1.1, 3.0], 3 * RIG.m, 25, 4, seed=9)
+    return model, cond, generator(9, 77).normal(size=RIG.c)
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    """Fails the test if anything it runs starts a thread."""
+    def refused(self):
+        raise AssertionError(f"a thread was started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+
+
 class TestGenerateLong:
     def test_single_segment_matches_plain_sample(self):
         m, c = 12, 4
@@ -202,6 +225,15 @@ class TestGenerateLong:
         )
         assert np.array_equal(out.frames, direct.frames)
         assert report == []
+
+    def test_single_segment_matches_plain_sample_on_default_rig(self, default_rig,
+                                                                no_threads):
+        model, cond, seed_motion = default_rig
+        out, report = generate_long(model, cond, seed_motion, SINGLE.m, SINGLE)
+        assert report == []
+        direct = sample(model, Condition(cond.features, seed_motion), make_schedule(50),
+                        seed=SINGLE.seed, gamma=SINGLE.gamma)
+        assert np.array_equal(out.frames, direct.frames)
 
     def test_short_request_trims_one_segment(self):
         m, c = 12, 4
@@ -525,11 +557,50 @@ def test_sampling_streams_do_not_reuse_dataset_streams(monkeypatch):
     assert not philox_keys(data_keys) & philox_keys(sample_keys)
 
 
-def test_default_rig_draws_only_x_T_in_process(monkeypatch):
-    """A 3-segment call on the default rig (c = 200, p = 5) forks no
-    process, starts no thread, and draws noise once per seed per chain:
-    its x_T, at step T. Segment 0 is one chain on one seed; segments 1
-    and 2 each run a head pass on p seeds and a full chain on the winner's."""
+@pytest.mark.parametrize("cfg", [RIG, SINGLE], ids=["three_segments", "one_segment"])
+@pytest.mark.parametrize("refusal", ["one_core", "no_fork"])
+def test_bytes_do_not_depend_on_cores_or_fork(default_rig, no_threads, monkeypatch,
+                                              refusal, cfg):
+    """The motion and scores on two cores equal those on one core, or
+    where os.fork is missing."""
+    model, cond, seed_motion = default_rig
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out, report = generate_long(model, cond, seed_motion, 3 * RIG.m, cfg)
+    if refusal == "one_core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "fork")
+    ref, ref_report = generate_long(model, cond, seed_motion, 3 * RIG.m, cfg)
+    assert np.array_equal(out.frames, ref.frames)
+    assert report_bits(report) == report_bits(ref_report)
+
+
+def test_denoiser_failing_at_a_later_segment_reaches_the_caller(default_rig,
+                                                                monkeypatch):
+    model, cond, seed_motion = default_rig
+    calls = []
+    guided_x0 = diffusion.guided_x0
+
+    def fails_later(*args):
+        calls.append(1)
+        if len(calls) == 25:  # in segment 1's kept chain, after its head pass
+            raise NumericsError("injected failure")
+        return guided_x0(*args)
+
+    monkeypatch.setattr(diffusion, "guided_x0", fails_later)
+    with pytest.raises(NumericsError, match="injected"):
+        generate_long(model, cond, seed_motion, 3 * RIG.m, RIG)
+    assert len(calls) == 25
+
+
+@pytest.mark.parametrize("k, n, m, frames", [(20, 5, 80, 240), (20, 5, 40, 40), (2, 2, 80, 400)],
+                         ids=["sample", "render", "roundtrip"])
+def test_workload_rigs_draw_only_x_T_in_process(monkeypatch, k, n, m, frames):
+    """On the benchmark workloads' shapes (the sample rig shortened to 3
+    segments), generate_long forks no process, starts no thread, and
+    draws noise once per seed per chain: its x_T, at step T. Segment 0
+    is one chain on one seed; each later segment runs a head pass on p
+    seeds and a full chain on the winner's."""
     drawn = []
     normals = diffusion.step_normals
 
@@ -544,16 +615,16 @@ def test_default_rig_draws_only_x_T_in_process(monkeypatch):
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(threading.Thread, "start", refused)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = PipelineConfig(k=20, n=5, m=80, t_steps=50, gamma=2.0, p=5, gap=2, seed=5)
+    cfg = PipelineConfig(k=k, n=n, m=m, t_steps=50, gamma=2.0, p=5, gap=2, seed=5)
     model = MlpDenoiser(cfg.c, 4, 64, 8, seed=2)
-    cond = synth_condition([0.2, 0.7, 1.1, 3.0], 3 * cfg.m, 25, 4, seed=9)
+    cond = synth_condition([0.2, 0.7, 1.1], frames, 25, 4, seed=9)
     out, report = generate_long(model, cond, generator(9, 77).normal(size=cfg.c),
-                                3 * cfg.m, cfg)
-    assert out.frames.shape == (3 * cfg.m, cfg.c)
+                                frames, cfg)
+    assert out.frames.shape == (frames, cfg.c)
+    assert len(report) == (frames // m - 1) * cfg.p
     want = [cfg.seed]
-    for seg in (1, 2):
+    for seg in range(1, frames // m):
         best = next(cand for s, cand, _, sel in report if s == seg and sel)
         want += [candidate_seed(cfg.seed, seg, p) for p in range(cfg.p)]
         want.append(candidate_seed(cfg.seed, seg, best))
-    assert len(want) == 1 + 2 * (cfg.p + 1)
     assert drawn == [(seed, cfg.t_steps) for seed in want]

@@ -114,15 +114,19 @@ class TestSplineFill:
         right = np.full((4, 2), 1.5)
         assert np.allclose(spline_fill(left, right, 2), 1.5, atol=1e-12)
 
-    def test_matches_scipy_natural_spline(self, rng):
-        left = rng.normal(size=(5, 3))
-        right = rng.normal(size=(5, 3))
-        gap = 3
+    @pytest.mark.parametrize("nl, nr, gap", [
+        (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4),  # the fewest knots allowed
+        (5, 5, 2), (5, 5, 3),  # generate_long's FILL_KNOTS a side
+        (2, 6, 1), (6, 3, 4), (3, 2, 2),
+    ])
+    def test_matches_scipy_natural_spline(self, rng, nl, nr, gap):
+        left = rng.normal(size=(nl, 3))
+        right = rng.normal(size=(nr, 3))
         fill = spline_fill(left, right, gap)
-        t = np.concatenate([np.arange(5.0), np.arange(8.0, 13.0)])
+        t = np.concatenate([np.arange(nl), np.arange(nl + gap, nl + gap + nr)])
         y = np.vstack([left, right])
-        oracle = CubicSpline(t, y, axis=0, bc_type="natural")(np.arange(5.0, 8.0))
-        assert np.max(np.abs(fill - oracle)) < 1e-9
+        oracle = CubicSpline(t, y, axis=0, bc_type="natural")(np.arange(nl, nl + gap))
+        assert np.max(np.abs(fill - oracle)) < 1e-12
 
     def test_smooth_junction_second_differences(self):
         # gentle data: the filled junction's discrete curvature must not

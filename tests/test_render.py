@@ -5,15 +5,20 @@ and the same bytes from forked workers as from one process.
 
 import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdgesture import cli, formats
+from mdgesture.audio import synth_condition
 from mdgesture.config import PipelineConfig
+from mdgesture.diffusion import MlpDenoiser
 from mdgesture.flow import FLOW_RESOLUTION
+from mdgesture.motion import MotionSequence
 from mdgesture.ppm import from_bytes_array, read_pnm_file, write_pnm
+from mdgesture.rng import generator
 from mdgesture.tps import solve_tps_batch
 from mdgesture.workers import join
 from mdgesture.workspace import Workspace
@@ -129,6 +134,42 @@ def test_pooled_frames_equal_serial_frames(rng, tmp_path, monkeypatch):
         written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(written[1]) == [cli._frame_name(i) for i in range(5)] + ["frames.csv"]
     assert written[2] == written[1]
+
+
+def test_render_forks_with_only_the_main_thread_alive(tmp_path, monkeypatch):
+    """generate --render-src on the default rig forks its render workers
+    after sampling, with only the main thread alive."""
+    def refused(self):
+        raise AssertionError(f"a thread was started: {self!r}")
+
+    forked = []
+    fork_call = cli.fork_call
+
+    def checked(*args):
+        forked.append(threading.active_count())
+        return fork_call(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    monkeypatch.setattr(cli, "fork_call", checked)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    (tmp_path / "rig.cfg").write_text("k = 20\nn = 5\nm = 80\nT = 50\ngamma = 2\np = 5\n"
+                                      "gap = 2\nseed = 5\n")
+    formats.write_denoiser(tmp_path / "model.mdnn", MlpDenoiser(200, 4, 64, 8, seed=2))
+    formats.write_audio_features(tmp_path / "feats.mdaf",
+                                 synth_condition([0.2, 0.7], 80, 25, 4, seed=9))
+    formats.write_sequence(tmp_path / "seed.mdsq",
+                           MotionSequence(generator(9, 77).normal(size=(1, 200))))
+    img = generator(5).integers(0, 256, size=(24, 24, 3), dtype=np.uint8)
+    (tmp_path / "src.ppm").write_bytes(write_pnm(from_bytes_array(img)))
+    assert cli.main(["generate", "--config", str(tmp_path / "rig.cfg"),
+                     "--params", str(tmp_path / "model.mdnn"),
+                     "--features", str(tmp_path / "feats.mdaf"),
+                     "--seed-motion", str(tmp_path / "seed.mdsq"),
+                     "--out", str(tmp_path / "gen.mdsq"), "--frames", "8",
+                     "--render-src", str(tmp_path / "src.ppm"),
+                     "--render-dir", str(tmp_path / "frames")]) == 0
+    assert forked == [1]  # 8 frames on 2 cores: the parent and one forked worker
+    assert len(list((tmp_path / "frames").glob("frame_*.ppm"))) == 8
 
 
 def test_one_frame_forks_nothing(rng, tmp_path, monkeypatch):
