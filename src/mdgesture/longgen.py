@@ -95,7 +95,8 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
     sample_heads), and a kept segment is always exactly the full draw on
     the winner's seed. With cfg.gap > 0 every junction's gap frames are
     replaced by a spline fit through 5 knot frames on each side; gap = 0
-    concatenates as-is. A kept segment beyond float32 raises NumericsError.
+    concatenates as-is. A returned frame beyond float32 raises NumericsError
+    naming its segment, or its junction if the spline filled it.
 
     Each chain draws only its x_T, in-process; its reverse steps add no
     noise, so the bytes do not depend on how many cores the process has.
@@ -142,8 +143,6 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
             draws = np.stack([draw(cond_i, seed) for seed in seeds])
             best, scores = select_best(segments[-1], draws) if segments else (0, [])
             kept = draws[best]
-        if not np.all(np.abs(kept) <= F32_MAX):
-            raise NumericsError(f"segment {i} left float32 range")
         report.extend((i, p, s, p == best) for p, s in enumerate(scores))
         segments.append(kept)
         start = kept[-1]
@@ -157,4 +156,12 @@ def generate_long(denoiser, cond_full, seed_motion, m_total: int,
             left = full[lo - FILL_KNOTS : lo]
             right = full[lo + gap : lo + gap + FILL_KNOTS]
             full[lo : lo + gap] = spline_fill(left, right, gap)
+    fits = np.all(np.abs(full[:m_total]) <= F32_MAX, axis=1)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        seg, offset = divmod(row + (gap + 1) // 2, m)
+        if 0 < seg < n_seg and offset < gap:
+            raise NumericsError(
+                f"junction of segments {seg - 1} and {seg} left float32 range")
+        raise NumericsError(f"segment {row // m} left float32 range")
     return MotionSequence(full[:m_total].copy(), cond_full.fps), report

@@ -579,7 +579,8 @@ class TestGenerate:
                                                    render):
         # a valid model file whose every x0 prediction is 4 * tanh(1) * 3e38
         # in each channel, past float32: segment 0 is a numeric failure,
-        # found before segment 1 is conditioned on it or a frame is solved
+        # found once every segment is drawn and filled, before a frame is
+        # solved or anything is written
         model = MlpDenoiser(8, 2, hidden=4, embed=4)
         model.set_flat(np.zeros_like(model.get_flat()))
         model.b1[...] = 1.0

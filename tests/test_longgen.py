@@ -358,6 +358,26 @@ class TestGenerateLong:
         with pytest.raises(InvalidArgumentError):
             generate_long(model, cond, seed_motion, 0, toy_cfg(12))
 
+    @pytest.mark.parametrize("gap, rows, values, message", [
+        # knots that all fit float32 overshoot it in between: both gap-2
+        # fill rows (13, 14) read 5.01e38, the gap-3 ones (12-14) 5.3e38 or more
+        (2, [8, 9, 10, 11, 12, 15, 16, 17, 18, 19], [-1, -1, -1, 0, 1, 1, 0, -1, -1, -1],
+         "junction of segments 0 and 1 left float32 range"),
+        (3, [7, 8, 9, 10, 11, 15, 16, 17, 18, 19], [-1, -1, -1, 0, 1, 1, 0, -1, -1, -1],
+         "junction of segments 0 and 1 left float32 range"),
+        # the first row after the gap-2 fill, whose fill rows still fit
+        (2, [12, 15], [-1, 1.05], "segment 1 left float32 range"),
+    ], ids=["junction_fill", "junction_fill_odd_gap", "kept_segment"])
+    def test_returned_frame_beyond_float32_is_numerics_error(self, gap, rows, values,
+                                                              message):
+        # the echo denoiser draws its audio: channel 0 is F = 3.3e38 times
+        # `values` on `rows` of two 14-frame segments, zero elsewhere
+        feats = np.zeros((28, 2))
+        feats[rows, 0] = 3.3e38 * np.array(values)
+        cfg = PipelineConfig(k=1, n=1, m=14, t_steps=5, gamma=1.0, p=1, gap=gap)
+        with pytest.raises(NumericsError, match=f"^{message}$"):
+            generate_long(EchoDenoiser(), AudioCondition(feats, 25), np.zeros(2), 28, cfg)
+
 
 def all_candidates_long(denoiser, cond_full, seed_motion, m_total, cfg):
     """generate_long as it was before the head pass: every candidate of
