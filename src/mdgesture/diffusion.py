@@ -26,9 +26,17 @@ audio and seed terms. The view's hidden layer is the MLP's one forward
 pass: sampling applies the output layer to it, and training takes its
 activations from it too. Each value comes from the same float
 operations in the same order as per-step code that rebuilds it, so
-draws and trained models equal that code's bit for bit. guided_x0,
-p_step, q_sample and loss_gradients are still called once per step:
-they are the layers the benchmark's tracer times.
+draws and trained models equal that code's bit for bit.
+
+Training works on stacks of windows: a step draws each window's step,
+noise and mask flag in turn, and hands a stack of them, (B, M, C), to
+one q_sample and one loss_gradients call. Every product in the stacked
+gradient is one np.matmul per window, the BLAS call a lone window
+makes, and the windows' gradients are added onto the step's sum in
+window order, so the model is the one-call-per-window loop's bit for
+bit. guided_x0 and p_step are called once per reverse step, q_sample
+and loss_gradients once per stack: they are the layers the benchmark's
+tracer times.
 
 A reverse chain draws one block of normals, x_T: each seed's
 rng.step_normals at step T; every step after it is deterministic.
@@ -49,6 +57,14 @@ from .motion import DEFAULT_FPS, MotionSequence
 from .rng import BATCH_TAG, INIT_TAG, PROBE_TAG, generator, step_normals
 
 PROBE_EVERY = 10  # training steps between probe-loss rows
+
+# Floats of per-window gradients (one per model parameter) a training
+# stack may hold. Against one call per window, one BLAS thread: the toy
+# rig (c=8, 2,376 parameters) stacks its whole batch of 16 and trains
+# 1.35x faster; default-rig windows (c=200, 39,432 parameters) go one to
+# a stack, as three to a stack made a fresh process's first training 27%
+# slower and later ones no faster.
+STACK_FLOATS = 1 << 16
 
 # Reverse steps of a chain, at most; each costs one guided denoiser pass.
 SAMPLE_STEPS = 10
@@ -120,14 +136,22 @@ def _check_step(t: int, sched: DiffusionSchedule) -> int:
     return t
 
 
-def q_sample(x0, t: int, noise, sched: DiffusionSchedule) -> np.ndarray:
-    """Forward-noise x0 to level t: sqrt(abar) x0 + sqrt(1-abar) noise."""
-    t = _check_step(t, sched)
+def q_sample(x0, t, noise, sched: DiffusionSchedule) -> np.ndarray:
+    """Forward-noise x0 to level t: sqrt(abar) x0 + sqrt(1-abar) noise.
+
+    x0 is one window at step t, or a (B, M, C) stack of windows with one
+    step per window in t."""
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if x0.shape != noise.shape:
         raise InvalidArgumentError("x0 and noise must share a shape")
-    fwd_x0, fwd_noise = sched.coefficients[t - 1]
+    if np.ndim(t) == 0:
+        fwd_x0, fwd_noise = sched.coefficients[_check_step(t, sched) - 1]
+    else:
+        if x0.ndim != 3 or len(t) != x0.shape[0]:
+            raise InvalidArgumentError("a stack's x0 must be (B, M, C) with B steps")
+        coef = np.array([sched.coefficients[_check_step(s, sched) - 1] for s in t])
+        fwd_x0, fwd_noise = coef.T[:, :, None, None]
     return fwd_x0 * x0 + fwd_noise * noise
 
 
@@ -263,15 +287,19 @@ def _reverse_chain(d: Denoiser, cond: Condition, sched: DiffusionSchedule,
 
     x_T stacks each seed's step_normals at step T; each level of
     reverse_steps(T) then takes one guided_x0 and one p_step to the next
-    level, the last to 0."""
+    level, the last to 0. A chain that overflows float64 raises
+    NumericsError, with no RuntimeWarning."""
     d = d.bind(cond)
     steps = reverse_steps(sched.n_steps)
     x = np.empty((cond.audio.shape[0], cond.seed_motion.size))
     rows = x.shape[0] // len(seeds)
     for i, seed in enumerate(seeds):
         step_normals(seed, steps[0], (rows, x.shape[1]), x[i * rows:(i + 1) * rows])
-    for t, t_prev in zip(steps, steps[1:] + [0]):
-        x = p_step(x, t, t_prev, guided_x0(d, x, t, cond, gamma), sched)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, t_prev in zip(steps, steps[1:] + [0]):
+            x = p_step(x, t, t_prev, guided_x0(d, x, t, cond, gamma), sched)
+    if not np.all(np.isfinite(x)):
+        raise NumericsError("the reverse chain left float64 range")
     return x
 
 
@@ -387,16 +415,7 @@ class MlpDenoiser(Denoiser):
             raise InvalidArgumentError(
                 f"seed motion has {cond.seed_motion.size} channels, "
                 f"model expects {self.n_channels}")
-        return _BoundMlp(self, cond)
-
-    def _check_frames(self, x_t, cond: Condition) -> np.ndarray:
-        """x_t as a float array, checked to be (M, C) for cond's M rows."""
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.ndim != 2 or x_t.shape[1] != self.n_channels:
-            raise InvalidArgumentError("x_t must be (M, C)")
-        if cond.audio.shape[0] != x_t.shape[0]:
-            raise InvalidArgumentError("audio must be (M, C_a)")
-        return x_t
+        return _BoundMlp(self, cond.audio, cond.seed_motion, cond)
 
     def predict(self, x_t, t: int, cond: Condition) -> np.ndarray:
         return self.guided(x_t, t, cond, 1.0)
@@ -405,49 +424,86 @@ class MlpDenoiser(Denoiser):
         """Denoiser.guided at the cost of one forward pass and one extra
         tanh: the output layer is affine, so the branches' hidden
         activations are blended and w2 is applied once."""
-        x_t = self._check_frames(x_t, cond)
+        x_t = np.asarray(x_t, dtype=np.float64)
+        if x_t.ndim != 2 or x_t.shape[1] != self.n_channels:
+            raise InvalidArgumentError("x_t must be (M, C)")
+        if cond.audio.shape[0] != x_t.shape[0]:
+            raise InvalidArgumentError("audio must be (M, C_a)")
         return self.bind(cond).guided(x_t, t, cond, gamma)
 
-    def loss_gradients(self, x0, x_t, t: int, cond: Condition,
-                       lambda_vel: float = 1.0, lambda_acc: float = 1.0):
+    def loss_gradients(self, x0, x_t, t, cond, lambda_vel: float = 1.0,
+                       lambda_acc: float = 1.0, acc=None) -> dict:
         """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
-        by PARAM_NAMES. Returns the grads alone: the loss is not computed.
-        The forward pass is the bound view's hidden layer, as in sampling."""
+        by PARAM_NAMES; the loss itself is not computed.
+
+        x0 and x_t are one window's (M, C) frames at step t on cond, or a
+        stack of B windows: (B, M, C) frames, B steps and B conditions.
+        The windows' gradients are added in window order onto acc, arrays
+        keyed by PARAM_NAMES (zeros when None), which are returned:
+        acc + g_1 + ... + g_B, summed as a loop of one call per window
+        sums them. Each product is one np.matmul per window, the BLAS
+        call a single window makes, so the sums are that loop's bit for
+        bit. The forward pass is the bound view's hidden layer, as in
+        sampling."""
         x0 = np.asarray(x0, dtype=np.float64)
-        x_t = self._check_frames(x_t, cond)
-        h = self.bind(cond).hidden(x_t, t, 1.0)
-        y = h @ self.w2.T + self.b2
-        m = x0.shape[0]
-        if x0.shape != y.shape:
-            raise InvalidArgumentError("x0 must match x_t's (M, C)")
+        x_t = np.asarray(x_t, dtype=np.float64)
+        if x_t.ndim == 2:
+            x0, x_t, t, cond = x0[None], x_t[None], [t], [cond]
+        if x_t.ndim != 3 or x_t.shape[2] != self.n_channels or x0.shape != x_t.shape:
+            raise InvalidArgumentError("x0 and x_t must be matching (M, C) or (B, M, C)")
+        n, m, c = x_t.shape
+        if len(t) != n or len(cond) != n:
+            raise InvalidArgumentError("a stack needs one step and one condition per window")
+        if any(k.audio.shape != (m, self.n_audio) or k.seed_motion.size != c for k in cond):
+            raise InvalidArgumentError("conditions must match the model and x_t's M rows")
         if (lambda_vel and m < 2) or (lambda_acc and m < 3):
             raise InvalidArgumentError("vel loss needs M >= 2, acc loss M >= 3")
-        g = (2.0 / y.size) * (y - x0)
-        dy, dx = y[1:] - y[:-1], x0[1:] - x0[:-1]  # np.diff, without its checks
+        audio = np.array([k.audio for k in cond])
+        seed = np.array([k.seed_motion for k in cond])[:, None]
+        emb = np.array([time_embedding(s, self.embed) for s in t])[:, None]
+        h = _BoundMlp(self, audio, seed).hidden(x_t, emb, 1.0)
+        # in-place scaling: k * a and a * k are the same float
+        y = h @ self.w2.T
+        y += self.b2
+        g = y - x0
+        g *= 2.0 / (m * c)
+        dy, dx = y[:, 1:] - y[:, :-1], x0[:, 1:] - x0[:, :-1]  # np.diff, without its checks
         if lambda_vel:
             ev = dy - dx
             gv = np.zeros(y.shape)
-            gv[:-1] -= ev
-            gv[1:] += ev
-            g += (lambda_vel * 2.0 / (m - 1)) * gv
+            gv[:, :-1] -= ev
+            gv[:, 1:] += ev
+            gv *= lambda_vel * 2.0 / (m - 1)
+            g += gv
         if lambda_acc:
-            ea = (dy[1:] - dy[:-1]) - (dx[1:] - dx[:-1])
+            ea = dy[:, 1:] - dy[:, :-1]
+            ea -= dx[:, 1:] - dx[:, :-1]
             ga = np.zeros(y.shape)
-            ga[:-2] += ea
-            ga[1:-1] -= 2.0 * ea
-            ga[2:] += ea
-            g += (lambda_acc * 2.0 / (m - 2)) * ga
-        dpre = h * h
-        np.subtract(1.0, dpre, out=dpre)
-        dpre *= g @ self.w2
-        db1 = np.add.reduce(dpre, axis=0)
+            ga[:, :-2] += ea
+            ga[:, 1:-1] -= 2.0 * ea
+            ga[:, 2:] += ea
+            ga *= lambda_acc * 2.0 / (m - 2)
+            g += ga
+        grads = {name: np.empty((n,) + s) for name, s in self._shapes.items()}
+        np.matmul(g.transpose(0, 2, 1), h, out=grads["w2"])
+        np.add.reduce(g, axis=1, out=grads["b2"])
+        dpre = g @ self.w2
+        h *= h
+        np.subtract(1.0, h, out=h)
+        dpre *= h
+        db1 = np.add.reduce(dpre, axis=1, out=grads["b1"])
         xs, au, sd, em = self._blocks
-        dw1 = np.empty_like(self.w1)
-        np.matmul(dpre.T, x_t, out=dw1[:, xs])
-        np.matmul(dpre.T, cond.audio, out=dw1[:, au])
-        np.multiply(db1[:, None], cond.seed_motion, out=dw1[:, sd])
-        np.multiply(db1[:, None], time_embedding(t, self.embed), out=dw1[:, em])
-        return {"w2": g.T @ h, "b2": np.add.reduce(g, axis=0), "w1": dw1, "b1": db1}
+        dw1, dpre_t = grads["w1"], dpre.transpose(0, 2, 1)
+        np.matmul(dpre_t, x_t, out=dw1[:, :, xs])
+        np.matmul(dpre_t, audio, out=dw1[:, :, au])
+        np.multiply(db1[:, :, None], seed, out=dw1[:, :, sd])
+        np.multiply(db1[:, :, None], emb, out=dw1[:, :, em])
+        sums = acc if acc is not None else {
+            name: np.zeros(s) for name, s in self._shapes.items()}
+        for name, per_window in grads.items():
+            for g_b in per_window:
+                sums[name] += g_b
+        return sums
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
@@ -463,35 +519,43 @@ class MlpDenoiser(Denoiser):
 
 
 class _BoundMlp(Denoiser):
-    """An MlpDenoiser bound to one condition: it holds audio w1a^T and
+    """An MlpDenoiser bound to one condition, or to a stack of B windows'
+    audio (B, M, C_a) and seed motions (B, 1, C): it holds audio w1a^T and
     w1s seed, and step t adds the row (w1s seed + w1e emb_t) + b1, in the
     unbound model's order. x_t is not checked: the caller shapes it."""
 
-    def __init__(self, model: MlpDenoiser, cond: Condition):
+    def __init__(self, model: MlpDenoiser, audio, seed_motion, cond=None):
         xs, au, sd, em = model._blocks
         w1 = model.w1
         self.cond = cond
         self._model = model
         self._wx = w1[:, xs].T
-        self._w1e = w1[:, em]
-        self._audio = cond.audio @ w1[:, au].T
-        self._seed = w1[:, sd] @ cond.seed_motion
+        self._w1e = w1[:, em].T
+        self._audio = audio @ w1[:, au].T
+        self._seed = seed_motion @ w1[:, sd].T
 
-    def hidden(self, x_t, t: int, gamma: float) -> np.ndarray:
-        """The tanh layer at step t, the MLP's one forward pass: the
-        conditional branch's activations, blended with the audio-masked
-        branch's by gamma * cond + (1 - gamma) * null when gamma != 1."""
-        model = self._model
+    def hidden(self, x_t, emb, gamma: float) -> np.ndarray:
+        """The tanh layer, the MLP's one forward pass, for one window (x_t
+        (M, C), emb its step's embedding) or a stack (x_t (B, M, C), emb
+        (B, 1, E)): the conditional branch's activations, blended with the
+        audio-masked branch's by gamma * cond + (1 - gamma) * null when
+        gamma != 1. A stack's products are one matmul per window, the
+        BLAS call of a single window (vector @ matrix is the gemv of
+        matrix @ vector)."""
+        row = self._seed + emb @ self._w1e
+        row += self._model.b1
         pre = x_t @ self._wx
-        pre += self._seed + self._w1e @ time_embedding(t, model.embed) + model.b1
+        pre += row
         if gamma == 1.0:
-            return np.tanh(pre + self._audio)
+            pre += self._audio
+            return np.tanh(pre, out=pre)
         return gamma * np.tanh(pre + self._audio) + (1.0 - gamma) * np.tanh(pre)
 
     def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
         if cond is not self.cond:
             raise InvalidArgumentError("the denoiser is bound to another condition")
-        return self.hidden(x_t, t, gamma) @ self._model.w2.T + self._model.b2
+        emb = time_embedding(t, self._model.embed)
+        return self.hidden(x_t, emb, gamma) @ self._model.w2.T + self._model.b2
 
 
 def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
@@ -499,6 +563,12 @@ def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
     ends = np.cumsum([math.prod(s) for s in shapes.values()])
     parts = np.split(flat, ends[:-1])
     return {name: p.reshape(s) for (name, s), p in zip(shapes.items(), parts)}
+
+
+def windows_per_stack(model: MlpDenoiser) -> int:
+    """Windows that train_denoiser stacks into one loss_gradients call:
+    as many per-window gradients as STACK_FLOATS holds, at least one."""
+    return max(1, STACK_FLOATS // model._flat.size)
 
 
 def training_windows(pairs, cfg: PipelineConfig) -> list:
@@ -545,13 +615,14 @@ def train_denoiser(dataset, cfg: PipelineConfig):
         raise InvalidArgumentError("training dataset is empty")
     seqs = [np.asarray(s.frames, dtype=np.float64) for s, _ in dataset]
     conds = [c for _, c in dataset]
-    c = seqs[0].shape[1]
+    m, c = seqs[0].shape
     c_a = conds[0].audio.shape[1]
     for s_arr, cond in zip(seqs, conds):
-        if s_arr.shape[1] != c or cond.audio.shape[1] != c_a:
+        if s_arr.shape != (m, c) or cond.audio.shape[1] != c_a:
             raise InvalidArgumentError("dataset shapes are inconsistent")
-        if cond.audio.shape[0] != s_arr.shape[0]:
+        if cond.audio.shape[0] != m:
             raise InvalidArgumentError("audio rows must align with frames")
+    frames = np.stack(seqs)
 
     sched = make_schedule(cfg.t_steps, cfg.schedule)
     model = MlpDenoiser(c, c_a, cfg.hidden, cfg.embed, seed=cfg.seed)
@@ -576,23 +647,25 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     acc = np.zeros_like(vel)
     acc_views = _views(acc, model._shapes)
     momentum = 0.9
+    stack = windows_per_stack(model)
+    noise = np.empty((min(stack, cfg.batch), m, c))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, cfg.steps + 1):
-                idx = g.integers(0, len(dataset), size=cfg.batch)
+                idx = g.integers(0, len(dataset), size=cfg.batch).tolist()
                 acc.fill(0.0)
-                for i in idx:
-                    t = int(g.integers(1, sched.n_steps + 1))
-                    noise = g.standard_normal(seqs[i].shape)
-                    x_t = q_sample(seqs[i], t, noise, sched)
-                    cond = conds[i]
-                    if g.random() < cfg.mask_prob:
-                        cond = cond.masked
-                    grads = model.loss_gradients(
-                        seqs[i], x_t, t, cond, cfg.lambda_vel, cfg.lambda_acc
-                    )
-                    for name, view in acc_views.items():
-                        view += grads[name]
+                for lo in range(0, cfg.batch, stack):
+                    win = idx[lo:lo + stack]
+                    ts, cs = [], []
+                    for b, i in enumerate(win):
+                        ts.append(int(g.integers(1, sched.n_steps + 1)))
+                        g.standard_normal(out=noise[b])
+                        cs.append(conds[i].masked if g.random() < cfg.mask_prob
+                                  else conds[i])
+                    x0 = frames[win]
+                    x_t = q_sample(x0, ts, noise[:len(win)], sched)
+                    model.loss_gradients(x0, x_t, ts, cs, cfg.lambda_vel,
+                                         cfg.lambda_acc, acc=acc_views)
                 vel = momentum * vel - (cfg.lr / cfg.batch) * acc
                 model._flat += vel
                 if not np.all(np.abs(model._flat) <= F32_MAX):

@@ -602,6 +602,32 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: segment 0 left float32 range")
         assert not out.exists() and not scores.exists() and not frames.exists()
 
+    def test_chain_beyond_float64_is_numerics_error(self, pipeline, tmp_path, capsys):
+        # w1 = 0.5 and gamma = 1e308: the guided blend of the two branches'
+        # activations overflows float64, so the chain's draw is not finite;
+        # that is a numeric failure (4) with no RuntimeWarning, not a usage
+        # error (2) raised when the draw becomes a MotionSequence
+        model = MlpDenoiser(8, 2, hidden=4, embed=4)
+        model.set_flat(np.zeros_like(model.get_flat()))
+        model.b1[...] = 1.0
+        model.w1[...] = 0.5
+        model.w2[...] = 3e38
+        formats.write_denoiser(tmp_path / "big.mdnn", model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TOY_CFG.replace("gamma = 1", "gamma = 1e308"))
+        out = tmp_path / "gen.mdsq"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["generate", "--config", str(cfg), "--params", str(tmp_path / "big.mdnn"),
+                 "--features", str(pipeline.data / "seq_0000.mdaf"),
+                 "--seed-motion", str(pipeline.data / "seq_0000.mdsq"),
+                 "--out", str(out), "--frames", "24"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: the reverse chain left float64")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     def test_render_flags_must_pair(self, pipeline, tmp_path):
         code, _, _ = self.generate(
             pipeline, tmp_path,

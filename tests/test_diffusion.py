@@ -574,17 +574,100 @@ class TestSameBitsAsPerStepCode:
         got = sample(model, cond, sched, seed=2, gamma=2.0).frames
         assert np.array_equal(got, reference_chain(model, cond, sched, [2], 6, 2.0))
 
-    def test_training_equals_the_unbound_gradient_loop(self):
+    @pytest.mark.parametrize("shape, stack, overrides", [
+        ((10, 4), None, {}),
+        ((10, 4), 2, {"batch": 5}),
+        ((10, 4), None, {"batch": 1}),
+        ((10, 4), 2, {"mask_prob": 0.0}),
+        ((10, 4), 2, {"mask_prob": 1.0}),
+        ((10, 4), 2, {"lambda_vel": 0.0}),
+        ((10, 4), 2, {"lambda_acc": 0.0}),
+        ((3, 4), 2, {"m": 3}),
+        ((6, 400), None, {"hidden": 64, "steps": 3}),
+    ], ids=["base", "batch_not_a_multiple", "batch_1", "mask_0", "mask_1", "no_vel",
+            "no_acc", "m_3", "one_window_per_stack"])
+    def test_training_equals_the_unbound_gradient_loop(self, monkeypatch, shape, stack,
+                                                       overrides):
+        """Stacked training steps equal one reference gradient per window,
+        summed in window order, whatever the stack size."""
+        m, c = shape
         g = generator(8)
-        dataset = [(MotionSequence(g.normal(size=(10, 4))),
-                    Condition(g.normal(size=(10, 2)), g.normal(size=4)))
+        dataset = [(MotionSequence(g.normal(size=(m, c))),
+                    Condition(g.normal(size=(m, 2)), g.normal(size=c)))
                    for _ in range(3)]
-        cfg = PipelineConfig(k=1, n=2, m=10, t_steps=7, steps=12, batch=3, hidden=8,
-                             embed=4, mask_prob=0.5, seed=5)
+        cfg = PipelineConfig(**{"k": 1, "n": 2, "m": 10, "t_steps": 7, "steps": 12,
+                                "batch": 3, "hidden": 8, "embed": 4, "mask_prob": 0.5,
+                                "seed": 5, **overrides})
+        probe = MlpDenoiser(c, 2, cfg.hidden, cfg.embed)
+        if stack is not None:
+            monkeypatch.setattr(diffusion, "STACK_FLOATS", stack * probe.get_flat().size)
+            assert diffusion.windows_per_stack(probe) == stack
+        elif c == 400:
+            assert diffusion.windows_per_stack(probe) == 1
         model, _ = train_denoiser(dataset, cfg)
         want = reference_train(dataset, cfg)
         for name in MlpDenoiser.PARAM_NAMES:
             assert np.array_equal(getattr(model, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("batch, stack", [(5, 2), (4, 4), (3, 1), (16, 6)])
+    def test_a_step_makes_one_gradient_call_per_stack(self, monkeypatch, batch, stack):
+        m, c = 10, 4
+        g = generator(8)
+        dataset = [(MotionSequence(g.normal(size=(m, c))),
+                    Condition(g.normal(size=(m, 2)), g.normal(size=c)))
+                   for _ in range(3)]
+        cfg = PipelineConfig(k=1, n=2, m=m, t_steps=7, steps=1, batch=batch, hidden=8,
+                             embed=4, seed=5)
+        per_window = MlpDenoiser(c, 2, 8, 4).get_flat().size
+        monkeypatch.setattr(diffusion, "STACK_FLOATS", stack * per_window)
+        sizes = []
+        real = MlpDenoiser.loss_gradients
+
+        def counted(self, x0, x_t, *args, **kwargs):
+            sizes.append(len(x_t))
+            return real(self, x0, x_t, *args, **kwargs)
+
+        monkeypatch.setattr(MlpDenoiser, "loss_gradients", counted)
+        train_denoiser(dataset, cfg)
+        assert len(sizes) == math.ceil(batch / stack)
+        assert sum(sizes) == batch and max(sizes) == min(stack, batch)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_stacked_gradient_is_the_in_order_sum_of_the_reference(self, n):
+        m, c = 7, 4
+        g = generator(11)
+        model = MlpDenoiser(c, 3, hidden=6, embed=4, seed=2)
+        model.set_flat(g.normal(size=model.get_flat().shape))  # b1, b2 nonzero
+        x0, x_t = g.normal(size=(2, n, m, c))
+        steps = [int(s) for s in g.integers(1, 9, size=n)]
+        conds = [tiny_condition(m, c, seed=s) for s in range(n)]
+        conds[-1] = conds[-1].masked
+        start = {k: g.normal(size=p.shape) for k, p in model.parameters().items()}
+        for acc in (None, {k: p.copy() for k, p in start.items()}):
+            want = {k: np.zeros_like(p) if acc is None else p.copy()
+                    for k, p in start.items()}
+            for b in range(n):
+                ref = reference_loss_gradients(model, x0[b], x_t[b], steps[b], conds[b],
+                                               1.0, 1.0)
+                for k in want:
+                    want[k] += ref[k]
+            got = model.loss_gradients(x0, x_t, steps, conds, acc=acc)
+            assert acc is None or got is acc  # summed in place
+            for k in model.PARAM_NAMES:
+                assert np.array_equal(got[k], want[k]), k
+
+    def test_stacked_q_sample_is_each_window_at_its_step(self):
+        sched = make_schedule(9, "cosine")
+        g = generator(3)
+        x0, noise = g.normal(size=(2, 3, 5, 2))
+        steps = [9, 1, 4]
+        got = q_sample(x0, steps, noise, sched)
+        for b, t in enumerate(steps):
+            assert np.array_equal(got[b], q_sample(x0[b], t, noise[b], sched))
+        with pytest.raises(InvalidArgumentError):
+            q_sample(x0, [9, 1, 10], noise, sched)
+        with pytest.raises(InvalidArgumentError):
+            q_sample(x0, [9, 1], noise, sched)
 
     @pytest.mark.parametrize("c_a, c, names", [
         (2, 4, "audio has 2 channels, model expects 3"),
