@@ -26,7 +26,12 @@ audio and seed terms. The view's hidden layer is the MLP's one forward
 pass: sampling applies the output layer to it, and training takes its
 activations from it too. Each value comes from the same float
 operations in the same order as per-step code that rebuilds it, so
-draws and trained models equal that code's bit for bit.
+draws and trained models equal that code's bit for bit. A step's
+arithmetic runs in place, in arrays the step made: the guidance blend
+in the pre-activation and one more buffer, the output bias on the
+output product, the DDIM update in two output-sized buffers. No input
+array is written. A model loaded from a file is built with seed=None,
+so loading draws no initial weights only to overwrite them.
 
 Training works on stacks of windows: a step draws each window's step,
 noise and mask flag in turn, and hands a stack of them, (B, M, C), to
@@ -180,8 +185,15 @@ def p_step(x_t, t: int, t_prev: int, x0_hat, sched: DiffusionSchedule) -> np.nda
         return x0_hat
     fwd_x0, fwd_noise = sched.coefficients[t - 1]
     prev_x0, prev_noise = sched.coefficients[t_prev - 1]
-    eps = (x_t - fwd_x0 * x0_hat) / fwd_noise
-    return prev_x0 * x0_hat + prev_noise * eps
+    # in two fresh buffers, the formula's operations in its order (k * a
+    # and a *= k round alike)
+    eps = fwd_x0 * x0_hat
+    np.subtract(x_t, eps, out=eps)
+    eps /= fwd_noise
+    eps *= prev_noise
+    x = prev_x0 * x0_hat
+    x += eps
+    return x
 
 
 @dataclass(frozen=True)
@@ -370,13 +382,18 @@ class MlpDenoiser(Denoiser):
     Input per frame: [x_t frame | audio frame | seed motion | t embedding].
     tanh keeps the map smooth, so analytic gradients can be checked
     against central finite differences tightly.
+
+    w1 and w2 start Glorot-uniform from generator(seed, INIT_TAG), the
+    biases at zero. MlpDenoiser(..., seed=None) draws nothing and leaves
+    every parameter zero: formats.denoiser_from_bytes builds a model so
+    and sets its parameters from the file's layers.
     """
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2")
     frame_local = True
 
     def __init__(self, n_channels: int, n_audio: int, hidden: int = 64,
-                 embed: int = 8, seed: int = 0):
+                 embed: int = 8, seed: int | None = 0):
         if n_channels < 1 or n_audio < 1 or hidden < 1:
             raise InvalidArgumentError("all denoiser dims must be >= 1")
         if embed < 2 or embed % 2:
@@ -389,10 +406,12 @@ class MlpDenoiser(Denoiser):
             self.n_channels, self.n_audio, self.hidden, self.embed)
         self._flat = np.zeros(sum(math.prod(s) for s in self._shapes.values()))
         vars(self).update(_views(self._flat, self._shapes))  # w1, b1, w2, b2
-        g = generator(seed, INIT_TAG)
         c, c_a = self.n_channels, self.n_audio
         self._blocks = (slice(0, c), slice(c, c + c_a),  # w1's column blocks
                         slice(c + c_a, 2 * c + c_a), slice(2 * c + c_a, None))
+        if seed is None:  # the caller sets every parameter
+            return
+        g = generator(seed, INIT_TAG)
         lim1 = math.sqrt(6.0 / (self.w1.shape[1] + hidden))
         lim2 = math.sqrt(6.0 / (hidden + n_channels))
         self.w1[...] = g.uniform(-lim1, lim1, size=self.w1.shape)
@@ -549,13 +568,22 @@ class _BoundMlp(Denoiser):
         if gamma == 1.0:
             pre += self._audio
             return np.tanh(pre, out=pre)
-        return gamma * np.tanh(pre + self._audio) + (1.0 - gamma) * np.tanh(pre)
+        # gamma * tanh(pre + audio) + (1 - gamma) * tanh(pre), in place
+        h = pre + self._audio
+        np.tanh(h, out=h)
+        h *= gamma
+        np.tanh(pre, out=pre)
+        pre *= 1.0 - gamma
+        pre += h
+        return pre
 
     def guided(self, x_t, t: int, cond: Condition, gamma: float) -> np.ndarray:
         if cond is not self.cond:
             raise InvalidArgumentError("the denoiser is bound to another condition")
         emb = time_embedding(t, self._model.embed)
-        return self.hidden(x_t, emb, gamma) @ self._model.w2.T + self._model.b2
+        y = self.hidden(x_t, emb, gamma) @ self._model.w2.T
+        y += self._model.b2
+        return y
 
 
 def _views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:

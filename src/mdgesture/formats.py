@@ -250,7 +250,8 @@ def denoiser_from_bytes(data: bytes) -> MlpDenoiser:
         expected = shape if len(shape) == 2 else (1, *shape)
         if layer.shape != expected:
             raise FormatError(f"layer {name} is {layer.shape}, expected {expected}")
-    model = _as_format_error("denoiser meta", MlpDenoiser, c, c_a, hidden, embed)
+    # seed None: no initial weights are drawn, the layers set every parameter
+    model = _as_format_error("denoiser meta", MlpDenoiser, c, c_a, hidden, embed, None)
     model.set_flat(np.concatenate([layer.ravel() for layer in layers[1:]]))
     return model
 

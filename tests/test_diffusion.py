@@ -26,7 +26,7 @@ from mdgesture.diffusion import (
     train_denoiser,
 )
 from mdgesture.errors import InvalidArgumentError
-from mdgesture.rng import BATCH_TAG, generator, step_normals
+from mdgesture.rng import BATCH_TAG, INIT_TAG, generator, step_normals
 
 
 class ConstantDenoiser(Denoiser):
@@ -162,6 +162,19 @@ class TestPStep:
             x = p_step(x, t, t_prev, x0, sched)
         assert np.array_equal(x, x0)
 
+    @pytest.mark.parametrize("t_prev", [3, 0])
+    def test_step_writes_no_input(self, rng, t_prev):
+        sched = make_schedule(50, "cosine")
+        x_t, x0h = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        before = x_t.tobytes(), x0h.tobytes()
+        x = p_step(x_t, 7, t_prev, x0h, sched)
+        assert (x_t.tobytes(), x0h.tobytes()) == before
+        if t_prev == 0:
+            assert x is x0h  # the documented last step
+        else:
+            assert np.array_equal(x, reference_p_step(x_t, 7, t_prev, x0h, sched))
+            assert not np.shares_memory(x, x_t) and not np.shares_memory(x, x0h)
+
     @pytest.mark.parametrize("t_steps", [1, 2, 7, 10, 11, 50])
     def test_reverse_steps_are_a_decreasing_subsequence(self, t_steps):
         steps = reverse_steps(t_steps)
@@ -208,6 +221,21 @@ class TestGuidance:
             x, 6, cond.masked)
         tol = 0.0 if gamma == 1.0 else 1e-12
         assert np.max(np.abs(guided_x0(d, x, 6, cond, gamma) - want)) <= tol
+
+    def test_bound_guidance_writes_no_input(self, rng):
+        model = MlpDenoiser(5, 3, hidden=12, embed=4, seed=4)
+        model.set_flat(generator(9).normal(size=model.get_flat().shape))  # b1, b2 nonzero
+        cond = tiny_condition(7, 5)
+        bound = model.bind(cond)
+        x = rng.normal(size=(7, 5))
+        held = [x, cond.audio, cond.seed_motion, cond.masked.audio,
+                cond.masked.seed_motion, model._flat]
+        before = [a.tobytes() for a in held]
+        y = guided_x0(bound, x, 6, cond, 2.0)
+        assert [a.tobytes() for a in held] == before
+        assert not any(np.shares_memory(y, a) for a in held)
+        # the view's own terms are unchanged too: a second step reads the same
+        assert np.array_equal(guided_x0(bound, x, 6, cond, 2.0), y)
 
     def test_null_condition_built_once(self):
         cond = tiny_condition(3, 2)
@@ -325,6 +353,18 @@ class TestMlpDenoiser:
                                               np.cos(9.0 * freqs)]).tobytes()
         with pytest.raises(ValueError):
             e[0] = 0.0
+
+    def test_initial_weights_are_the_init_stream(self):
+        c, c_a, hidden, embed = 4, 3, 6, 4
+        model = MlpDenoiser(c, c_a, hidden=hidden, embed=embed, seed=7)
+        g = generator(7, INIT_TAG)
+        n_in = 2 * c + c_a + embed
+        lim1 = math.sqrt(6.0 / (n_in + hidden))
+        lim2 = math.sqrt(6.0 / (hidden + c))
+        assert np.array_equal(model.w1, g.uniform(-lim1, lim1, size=(hidden, n_in)))
+        assert np.array_equal(model.w2, g.uniform(-lim2, lim2, size=(c, hidden)))
+        assert not model.b1.any() and not model.b2.any()
+        assert not MlpDenoiser(c, c_a, hidden, embed, seed=None).get_flat().any()
 
     def test_gradient_check(self, rng):
         model = MlpDenoiser(4, 3, hidden=12, embed=4, seed=3)

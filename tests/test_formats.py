@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mdgesture import cli, fileio
+from mdgesture import cli, diffusion, fileio
 from mdgesture.audio import AudioCondition, synth_condition
 from mdgesture.diffusion import MlpDenoiser
 from mdgesture.errors import FormatError, InvalidArgumentError
@@ -21,12 +21,14 @@ from mdgesture.formats import (
     flow_to_bytes,
     pairs_from_text,
     pairs_to_text,
+    read_denoiser,
     read_sequence,
     sequence_from_bytes,
     sequence_to_bytes,
     transform_from_bytes,
     transform_to_bytes,
     verify_file,
+    write_denoiser,
     write_sequence,
 )
 from mdgesture.motion import MotionSequence
@@ -130,6 +132,19 @@ class TestRoundTrips:
             assert np.array_equal(
                 model.parameters()[name], again.parameters()[name]
             )
+
+    def test_denoiser_loading_draws_no_weights(self, rng, tmp_path, monkeypatch):
+        model = MlpDenoiser(4, 3, hidden=8, embed=4, seed=2)
+        model.set_flat(f32_clean(rng, model.get_flat().shape))
+        write_denoiser(tmp_path / "m.mdnn", model)
+
+        def refuse(*seed):
+            raise AssertionError(f"generator{seed} drawn while loading")
+
+        monkeypatch.setattr(diffusion, "generator", refuse)
+        loaded = read_denoiser(tmp_path / "m.mdnn")
+        assert np.array_equal(loaded.get_flat(), model.get_flat())
+        assert denoiser_to_bytes(loaded) == (tmp_path / "m.mdnn").read_bytes()
 
     def test_float32_overflow_rejected(self):
         seq = MotionSequence(np.full((2, 2), 1e39))
