@@ -9,11 +9,18 @@
 # lattice, so the flow is upsampled. sample: the benchmark's sample
 # workload shape (c=200, m=80, T=50, p=5, gap=2) after 2 training steps,
 # and a 400-frame generate with its scores: 5 segments, 4 spline-filled
-# junctions.
+# junctions. warps: two transforms solved from pair CSVs of 4 and 6 pairs;
+# src.ppm warped through the first with an identity layer, its mask and
+# its upsampled flow; src.ppm warped through both (two TPS groups, one per
+# anchor count) with its flow; and a 48x40 source, below the flow lattice,
+# warped through both with no identity layer, its mask and its flow at
+# image resolution.
 #
 # Artifacts, relative to $1: model.mdnn gen.mdsq scores.csv data/
 # rmodel.mdnn rgen.mdsq rdata/ frames/ smodel.mdnn sgen.mdsq sgen.csv sdata/
-# (and the inputs toy.cfg render.cfg sample.cfg src.ppm).
+# t.mdtp warped.ppm mask.pgm flow.mdfl t6.mdtp warped2.ppm flow2.mdfl
+# warped_small.ppm mask_small.pgm flow_small.mdfl (and the inputs toy.cfg
+# render.cfg sample.cfg src.ppm src_small.ppm pairs.csv pairs6.csv).
 set -euo pipefail
 d=$1
 mkdir -p "$d"
@@ -26,6 +33,13 @@ printf '%s\n' k=20 n=5 m=80 T=50 gamma=2 p=5 gap=2 steps=2 batch=2 sequences=4 \
 python -c "import sys; sys.stdout.buffer.write(b'P6\n96 80\n255\n' + bytes(
   (7 * x + 13 * y + 50 * c) % 256 for y in range(80) for x in range(96) for c in range(3)))" \
   > "$d/src.ppm"
+python -c "import sys; sys.stdout.buffer.write(b'P6\n48 40\n255\n' + bytes(
+  (11 * x + 5 * y + 70 * c) % 256 for y in range(40) for x in range(48) for c in range(3)))" \
+  > "$d/src_small.ppm"
+printf '%s\n' src_x,src_y,dst_x,dst_y 0.1,0.0,0.0,0.0 0.5,0.1,0.5,0.0 \
+  0.0,0.4,0.0,0.5 -0.4,-0.5,-0.5,-0.5 > "$d/pairs.csv"
+printf '%s\n' src_x,src_y,dst_x,dst_y 0.3,0.2,0.2,0.2 0.7,0.1,0.8,0.1 0.6,0.9,0.6,0.8 \
+  0.1,0.7,0.2,0.7 0.45,0.5,0.5,0.45 0.4,0.2,0.4,0.3 > "$d/pairs6.csv"
 python -m mdgesture.cli synth-data --config "$d/toy.cfg" --out-dir "$d/data"
 python -m mdgesture.cli train --config "$d/toy.cfg" --data "$d/data" --out "$d/model.mdnn"
 python -m mdgesture.cli generate --config "$d/toy.cfg" --params "$d/model.mdnn" \
@@ -41,3 +55,12 @@ python -m mdgesture.cli train --config "$d/sample.cfg" --data "$d/sdata" --out "
 python -m mdgesture.cli generate --config "$d/sample.cfg" --params "$d/smodel.mdnn" \
   --features "$d/sdata/seq_0001.mdaf" --seed-motion "$d/sdata/seq_0001.mdsq" \
   --frames 400 --out "$d/sgen.mdsq" --scores "$d/sgen.csv"
+python -m mdgesture.cli tps-solve --pairs "$d/pairs.csv" --out "$d/t.mdtp"
+python -m mdgesture.cli warp --image "$d/src.ppm" --transform "$d/t.mdtp" \
+  --out "$d/warped.ppm" --mask "$d/mask.pgm" --flow-out "$d/flow.mdfl" --background
+python -m mdgesture.cli tps-solve --pairs "$d/pairs6.csv" --out "$d/t6.mdtp"
+python -m mdgesture.cli warp --image "$d/src.ppm" --transform "$d/t.mdtp" \
+  --transform "$d/t6.mdtp" --out "$d/warped2.ppm" --flow-out "$d/flow2.mdfl" --background
+python -m mdgesture.cli warp --image "$d/src_small.ppm" --transform "$d/t.mdtp" \
+  --transform "$d/t6.mdtp" --out "$d/warped_small.ppm" --mask "$d/mask_small.pgm" \
+  --flow-out "$d/flow_small.mdfl"

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .fileio import read_text
+from .fileio import MAX_U32, read_text
 from .flow import MIN_SOFTNESS
 
 
@@ -62,10 +62,16 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(msg)
 
+        # no artifact header holds a count above MAX_U32
+        keys = {name: key for key, name in _KEY_ALIASES.items()}
         for name, value in vars(self).items():
+            key = keys.get(name, name)
             need(not isinstance(value, float) or math.isfinite(value),
-                 f"{name} must be finite")
+                 f"{key} must be finite")
+            need(not isinstance(value, int) or name == "seed" or value <= MAX_U32,
+                 f"{key} must be <= {MAX_U32}")
         need(self.k >= 1 and self.n >= 1, "k and n must be >= 1")
+        need(self.c <= MAX_U32, f"k*n*2 must be <= {MAX_U32}")
         need(self.m >= 1, "m must be >= 1")
         need(self.stride >= 1, "stride must be >= 1")
         need(self.fps >= 1, "fps must be >= 1")
@@ -85,6 +91,8 @@ class PipelineConfig:
              f"softness must be >= {MIN_SOFTNESS:g}")
         need(self.sigma_b > 0, "sigma_b must be > 0")
         need(self.sigma_smooth >= 0, "sigma_smooth must be >= 0")
+        need(3 * self.sigma_smooth <= MAX_U32,  # the smoothing radius, ceil(3 sigma)
+             f"sigma_smooth must be <= {MAX_U32 // 3}")
         need(self.steps >= 1 and self.batch >= 1, "steps and batch must be >= 1")
         need(self.lr > 0, "lr must be > 0")
         need(self.hidden >= 1, "hidden must be >= 1")

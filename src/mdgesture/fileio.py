@@ -1,4 +1,5 @@
-"""Atomic writes, UTF-8 reads that fail as parse errors, and F32_MAX."""
+"""Atomic writes, UTF-8 reads that fail as parse errors, F32_MAX and
+MAX_U32."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import FormatError
 
 F32_MAX = float(np.finfo("<f4").max)  # the largest magnitude a float32 field holds
+MAX_U32 = 2**32 - 1  # the largest count a header field holds
 
 
 def read_text(path) -> str:

@@ -12,10 +12,9 @@ A frame's TPS work is one pass (see `tps`): `deform_grids` evaluates its
 k transforms as one block, with each one's squared distance to its
 nearest anchor, and `combine_flow` blends from those distances.
 
-Every layer takes its arrays from a `Workspace` (see `workspace`): a
-render makes one, sized by its first frame, and passes it to every layer
-of every frame, so frames reuse the same buffers. A layer's result is a
-view of the workspace, valid until the next frame is rendered through it.
+Each layer allocates its own buffers and computes in them in place; its
+result belongs to the caller, and a layer's scratch is freed when it
+returns.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .ppm import RasterImage
 from .tps import eval_tps_grid, lattice_axes
-from .workspace import Workspace
 
 FLOW_RESOLUTION = 64  # native resolution of composed flow fields
 # Smallest blend length scale. Far below one pixel even of a 4096-pixel
@@ -71,12 +69,10 @@ class FlowField:
 
     @property
     def valid_mask(self) -> np.ndarray:
-        shape = self.map.shape[:2]
-        return ~_occluded(self.map, np.empty((2,) + shape), np.empty(shape, np.bool_))
+        return ~_occluded(self.map, np.empty((2,) + self.map.shape[:2]))
 
 
-def deform_grids(transforms, height: int, width: int,
-                 ws: Workspace | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+def deform_grids(transforms, height: int, width: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Evaluate every transform on the pixel lattice; returns the K grids,
     (H, W, 2) views of one (K, 2, H, W) block, and the (K, H, W) squared
     distances to each transform's nearest anchor, for `combine_flow`.
@@ -87,19 +83,18 @@ def deform_grids(transforms, height: int, width: int,
     transforms = list(transforms)
     if not transforms:
         raise InvalidArgumentError("need at least one transform")
-    ws = Workspace() if ws is None else ws
     k = len(transforms)
-    block = ws.get("flow.grids", (k, 2, height, width))
-    nearest = ws.get("flow.nearest", (k, height, width))
+    block = np.empty((k, 2, height, width))
+    nearest = np.empty((k, height, width))
     cuts = [j for j in range(1, k)
             if transforms[j].n_controls != transforms[j - 1].n_controls]
     for a, b in zip([0] + cuts, cuts + [k]):
-        eval_tps_grid(transforms[a:b], height, width, block[a:b], nearest[a:b], ws)
+        eval_tps_grid(transforms[a:b], height, width, block[a:b], nearest[a:b])
     return list(block.transpose(0, 2, 3, 1)), nearest
 
 
 def combine_flow(grids, nearest_sq, softness: float = 0.1,
-                 background: bool = False, ws: Workspace | None = None) -> FlowField:
+                 background: bool = False) -> FlowField:
     """Blend per-transform grids into one flow field.
 
     grids: K arrays (H, W, 2); nearest_sq: (K, H, W), the squared
@@ -119,17 +114,16 @@ def combine_flow(grids, nearest_sq, softness: float = 0.1,
         raise InvalidArgumentError(
             f"softness must be finite and >= {MIN_SOFTNESS:g}, got {softness}"
         )
-    ws = Workspace() if ws is None else ws
 
     height, width = shape[:2]
     k = len(grids)
     # one plane per blended grid: distances, then logits, then weights
-    weights = ws.get("flow.weights", (k + background, height, width))
+    weights = np.empty((k + background, height, width))
     np.sqrt(nearest_sq, out=weights[:k])
     if background:
         np.max(weights[:k], axis=0, out=weights[k])
 
-    peak = ws.get("flow.peak", (height, width))
+    peak = np.empty((height, width))
     weights /= -softness  # -d / softness, to the bit
     weights -= np.max(weights, axis=0, out=peak)
     np.exp(weights, out=weights)
@@ -138,9 +132,8 @@ def combine_flow(grids, nearest_sq, softness: float = 0.1,
     # Blended plane by plane: grids hold x and y planes, so each product
     # runs over contiguous memory. The identity grid's planes are the
     # lattice axes, broadcast.
-    out = ws.get("flow.map", (2, height, width))
-    term = ws.get("flow.term", (2, height, width))
-    out.fill(0.0)
+    out = np.zeros((2, height, width))
+    term = np.empty((2, height, width))
     for w_k, g in zip(weights, grids):
         out += np.multiply(w_k, g.transpose(2, 0, 1), out=term)
     if background:
@@ -151,12 +144,12 @@ def combine_flow(grids, nearest_sq, softness: float = 0.1,
     return FlowField(out.transpose(1, 2, 0))
 
 
-def _taps(p: np.ndarray, n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _taps(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Left neighbour index and fraction of fractional positions `p` on an
     axis of n >= 2 samples, clipped to the axis; the last sample is reached
-    as index n - 2 with fraction 1. Writes the index into the integer
-    array `index` and the fraction over `p`."""
+    as index n - 2 with fraction 1. Writes the fraction over `p`."""
     np.clip(p, 0.0, n - 1.0, out=p)
+    index = np.empty(p.shape, np.intp)
     np.floor(p, out=index, casting="unsafe")
     np.minimum(index, n - 2, out=index)
     np.subtract(p, index, out=p)
@@ -172,8 +165,7 @@ def _lerp(a, b, index, g, f, out, tap, axis=None):
     return out
 
 
-def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
-              ws: Workspace) -> np.ndarray:
+def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Sample (H, W, C) `field` at fractional pixel positions.
 
     Exact on integer positions: a zero fraction contributes the source
@@ -182,19 +174,19 @@ def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
     the taps right of and below the top-left one are gathered at the same
     index from views of the plane that start 1, W and W + 1 samples in.
     px and py are overwritten. Returns an (..., C) view of a (C, ...)
-    buffer of `ws`.
+    array.
     """
     h, w, ch = field.shape
     shape = px.shape
-    x0, fx = _taps(px, w, ws.get("bilinear.x0", shape, np.intp))
-    i, fy = _taps(py, h, ws.get("bilinear.i", shape, np.intp))
+    x0, fx = _taps(px, w)
+    i, fy = _taps(py, h)
     i *= w
     i += x0  # flat index of the top-left tap
-    gx = np.subtract(1.0, fx, out=ws.get("bilinear.gx", shape))
-    gy = np.subtract(1.0, fy, out=ws.get("bilinear.gy", shape))
-    out = ws.get("bilinear.out", (ch,) + shape)
-    bot = ws.get("bilinear.bot", shape)
-    tap = ws.get("bilinear.tap", shape)
+    gx = np.subtract(1.0, fx)
+    gy = np.subtract(1.0, fy)
+    out = np.empty((ch,) + shape)
+    bot = np.empty(shape)
+    tap = np.empty(shape)
     for c, top in enumerate(out):
         plane = np.ascontiguousarray(field[:, :, c]).ravel()
         _lerp(plane, plane[1:], i, gx, fx, top, tap)
@@ -204,27 +196,21 @@ def _bilinear(field: np.ndarray, px: np.ndarray, py: np.ndarray,
     return np.moveaxis(out, 0, -1)
 
 
-def _occluded(m: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Mark in bool `out` where the (H, W, 2) map `m` points outside
-    [-1, 1]^2; `scratch` is a (2, H, W) float buffer."""
+def _occluded(m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """True where the (H, W, 2) map `m` points outside [-1, 1]^2;
+    `scratch` is a (2, H, W) float buffer."""
     np.abs(m.transpose(2, 0, 1), out=scratch)
-    return np.greater(np.maximum(scratch[0], scratch[1], out=scratch[0]), 1.0,
-                      out=out)
+    return np.maximum(scratch[0], scratch[1], out=scratch[0]) > 1.0
 
 
-def warp_image(src: RasterImage, flow: FlowField,
-               ws: Workspace | None = None) -> RasterImage:
-    """Backward-warp `src` through `flow`; occluded pixels become black.
-
-    The result is a view of `ws`, valid until `ws` renders again.
-    """
+def warp_image(src: RasterImage, flow: FlowField) -> RasterImage:
+    """Backward-warp `src` through `flow`; occluded pixels become black."""
     if src.height < 2 or src.width < 2:
         raise InvalidArgumentError("source image must be at least 2x2")
-    ws = Workspace() if ws is None else ws
     shape = (flow.height, flow.width)
     m = flow.map
-    positions = ws.get("warp.positions", (2,) + shape)
-    occluded = _occluded(m, positions, ws.get("warp.occluded", shape, np.bool_))
+    positions = np.empty((2,) + shape)
+    occluded = _occluded(m, positions)
     px, py = positions
     np.add(m[..., 0], 1.0, out=px)
     px *= 0.5
@@ -232,7 +218,7 @@ def warp_image(src: RasterImage, flow: FlowField,
     np.add(m[..., 1], 1.0, out=py)
     py *= 0.5
     py *= src.height - 1
-    out = _bilinear(src.data, px, py, ws)
+    out = _bilinear(src.data, px, py)
     # clip absorbs the <= 1 ulp overshoot of convex float sums; values on
     # the exact path (zero fractions) pass through unchanged
     np.clip(out, 0.0, 1.0, out=out)
@@ -240,28 +226,23 @@ def warp_image(src: RasterImage, flow: FlowField,
     return RasterImage.computed(out)
 
 
-def upsample_flow(flow: FlowField, height: int, width: int,
-                  ws: Workspace | None = None) -> FlowField:
+def upsample_flow(flow: FlowField, height: int, width: int) -> FlowField:
     """Bilinearly resample a flow field onto a new lattice.
 
     The target lattice is separable, so this interpolates along x once per
     source row, then along y: every output element gets the products and
-    sums `_bilinear` would give it at that lattice point. The result is a
-    view of `ws`, valid until `ws` renders again.
+    sums `_bilinear` would give it at that lattice point.
     """
-    ws = Workspace() if ws is None else ws
     x, y = lattice_axes(height, width)
-    x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width,
-                   np.empty(width, np.intp))
-    y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height,
-                   np.empty(height, np.intp))
+    x0, fx = _taps((x + 1.0) * 0.5 * (flow.width - 1), flow.width)
+    y0, fy = _taps((y + 1.0) * 0.5 * (flow.height - 1), flow.height)
     gx = 1.0 - fx
     gy = (1.0 - fy)[:, None]
     fy = fy[:, None]
-    out = ws.get("upsample.map", (2, height, width))
-    rows = ws.get("upsample.rows", (flow.height, width))
-    right = ws.get("upsample.right", (flow.height, width))
-    below = ws.get("upsample.below", (height, width))
+    out = np.empty((2, height, width))
+    rows = np.empty((flow.height, width))
+    right = np.empty((flow.height, width))
+    below = np.empty((height, width))
     for plane, out_d in zip(flow.map.transpose(2, 0, 1), out):  # like _bilinear
         _lerp(plane, plane[:, 1:], x0, gx, fx, rows, right, axis=1)
         _lerp(rows, rows[1:], y0, gy, fy, out_d, below, axis=0)

@@ -27,7 +27,7 @@ import numpy as np
 from .audio import AudioCondition, read_wav
 from .diffusion import MlpDenoiser
 from .errors import FormatError, InvalidArgumentError
-from .fileio import F32_MAX, write_atomic
+from .fileio import F32_MAX, MAX_U32, write_atomic
 from .flow import FlowField
 from .motion import MotionSequence
 from .ppm import parse_pnm
@@ -40,7 +40,6 @@ MAGIC_FEATURES = b"MDAF"
 MAGIC_DENOISER = b"MDNN"
 
 PAIRS_HEADER = "src_x,src_y,dst_x,dst_y"
-MAX_U32 = 2**32 - 1  # the largest count a header field holds
 
 
 class _Cursor:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
 from .fileio import write_atomic
-from .workspace import Workspace
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,13 @@ def from_bytes_array(raw: np.ndarray) -> RasterImage:
     return RasterImage(np.asarray(raw, dtype=np.float64) / 255.0)
 
 
-def to_bytes_array(img: RasterImage, ws: Workspace | None = None) -> np.ndarray:
+def to_bytes_array(img: RasterImage) -> np.ndarray:
     """Quantize to (H, W, ch) uint8 samples, round-half-even on exact
     ties; samples lie in [0, 1], so every rounded value fits a byte.
-    The result is a buffer of `ws`."""
-    ws = Workspace() if ws is None else ws
+    The channels are scaled one at a time in one (H, W) float plane."""
     h, w, ch = img.data.shape
-    raw = ws.get("pnm.raw", (h, w, ch), np.uint8)
-    scaled = ws.get("pnm.scaled", (h, w))
+    raw = np.empty((h, w, ch), np.uint8)
+    scaled = np.empty((h, w))
     for c in range(ch):
         np.multiply(img.data[:, :, c], 255.0, out=scaled)
         np.rint(scaled, out=raw[:, :, c], casting="unsafe")
@@ -128,11 +126,11 @@ def parse_pnm(data: bytes) -> RasterImage:
     return from_bytes_array(arr)
 
 
-def write_pnm(img: RasterImage, ws: Workspace | None = None) -> bytes:
+def write_pnm(img: RasterImage) -> bytes:
     """Serialize to canonical P6 (3 channels) or P5 (1 channel) bytes."""
     magic = b"P6" if img.channels == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + to_bytes_array(img, ws).tobytes()
+    return header + to_bytes_array(img).tobytes()
 
 
 def mask_to_pgm(mask: np.ndarray) -> bytes:
@@ -147,5 +145,5 @@ def read_pnm_file(path) -> RasterImage:
     return parse_pnm(Path(path).read_bytes())
 
 
-def write_pnm_file(path, img: RasterImage, ws: Workspace | None = None) -> None:
-    write_atomic(path, write_pnm(img, ws))
+def write_pnm_file(path, img: RasterImage) -> None:
+    write_atomic(path, write_pnm(img))

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularSystemError
-from .workspace import Workspace
 
 # A solve whose residual exceeds this is reported as singular rather than
 # returned; keeps "singular" testable without prescribing a factorization.
@@ -231,7 +230,7 @@ def identity_transform() -> TpsTransform:
 
 
 def _eval_block(transforms, x: np.ndarray, y: np.ndarray, planes: np.ndarray,
-                nearest: np.ndarray, ws: Workspace) -> None:
+                nearest: np.ndarray) -> None:
     # The core: on the lattice of axes x (W,) and y (H,), writes transform
     # j's x and y planes into planes[j] (2, H, W) and each point's squared
     # distance to its nearest anchor into nearest[j]. x and y terms are
@@ -244,8 +243,8 @@ def _eval_block(transforms, x: np.ndarray, y: np.ndarray, planes: np.ndarray,
     y = y[:, None]
     np.copyto(planes, a[:, :, 2] + a[:, :, 0] * x)
     planes += a[:, :, 1] * y
-    u = ws.get("tps.u", nearest.shape)
-    term = ws.get("tps.term", planes.shape)
+    u = np.empty(nearest.shape)
+    term = np.empty(planes.shape)
     # an anchor's squared radii are spent before its terms are formed, so
     # they share the terms' buffer; the first anchor's go to `nearest`
     rsq = term.reshape((2,) + nearest.shape)[0]
@@ -268,12 +267,12 @@ def eval_tps(t: TpsTransform, p) -> np.ndarray:
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise InvalidArgumentError("p must be a finite 2-vector")
     planes = np.empty((1, 2, 1, 1))
-    _eval_block([t], p[:1], p[1:], planes, np.empty((1, 1, 1)), Workspace())
+    _eval_block([t], p[:1], p[1:], planes, np.empty((1, 1, 1)))
     return planes[0, :, 0, 0]
 
 
-def eval_tps_grid(transforms, height: int, width: int, out=None, nearest=None,
-                  ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eval_tps_grid(transforms, height: int, width: int, out=None,
+                  nearest=None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate k transforms with one anchor count on the normalized
     pixel lattice in one pass; returns (grids, nearest_sq).
 
@@ -281,7 +280,8 @@ def eval_tps_grid(transforms, height: int, width: int, out=None, nearest=None,
     transforms[j] at every lattice point. nearest_sq (k, H, W): squared
     distance to the nearest anchor (`controls_d`) of transforms[j]. They
     are written into `out` (k, 2, H, W) and `nearest` (k, H, W) when
-    given; scratch comes from `ws`.
+    given, so a caller can fill slices of one block, and are allocated
+    otherwise.
     """
     transforms = list(transforms)
     if len({t.n_controls for t in transforms}) != 1:
@@ -290,7 +290,7 @@ def eval_tps_grid(transforms, height: int, width: int, out=None, nearest=None,
     shape = (len(transforms), y.size, x.size)
     out = np.empty(shape[:1] + (2,) + shape[1:]) if out is None else out
     nearest = np.empty(shape) if nearest is None else nearest
-    _eval_block(transforms, x, y, out, nearest, Workspace() if ws is None else ws)
+    _eval_block(transforms, x, y, out, nearest)
     return out.transpose(0, 2, 3, 1), nearest
 
 

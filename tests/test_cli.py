@@ -846,25 +846,58 @@ def test_bad_input_is_clean_error(tmp_path, capsys, cfg, extra, pairs, code):
     assert not out.exists() and not scores.exists() and not frames.exists()
 
 
-# Each size is far beyond a 47-bit address space (128 TiB), so numpy's
-# allocation is refused at once whatever the kernel's overcommit setting:
-# hidden = 10**12 asks for about 225 TiB of TOY_CFG weights, T = 10**14
-# for 727 TiB of schedule grid.
-@pytest.mark.parametrize("command, key, value", [("train", "hidden", 10**12),
-                                                 ("generate", "T", 10**14)])
-def test_out_of_memory_is_clean_error(pipeline, tmp_path, capsys, command, key, value):
+# Each count fits a u32 header field, and each first allocation is far
+# beyond a 47-bit address space (128 TiB), so numpy refuses it at once
+# whatever the kernel's overcommit setting: hidden = 2**30 with embed =
+# 2**20 asks for about 8 PiB of TOY_CFG weights.
+def test_out_of_memory_is_clean_error(pipeline, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(with_key(TOY_CFG, key, str(value)))
+    cfg.write_text(with_key(with_key(TOY_CFG, "hidden", str(2**30)), "embed", str(2**20)))
     out = tmp_path / "out"
-    if command == "train":
-        argv = ["train", "--data", str(pipeline.data)]
-    else:
-        argv = ["generate", "--params", str(pipeline.model),
-                "--features", str(pipeline.data / "seq_0000.mdaf"),
-                "--seed-motion", str(pipeline.data / "seq_0000.mdsq")]
-    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert cli.main(["train", "--data", str(pipeline.data), "--config", str(cfg),
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate ")
+    assert "Traceback" not in err and not out.exists()
+
+
+# Counts above MAX_U32 = 2**32 - 1, the largest a header field holds; each
+# once ended in numpy's "Maximum allowed size exceeded" traceback, or
+# (hidden = 10**12, T = 10**14) in an out-of-memory exit.
+@pytest.mark.parametrize("command, values", [
+    ("train", {"T": 10**20}),
+    ("train", {"batch": 10**20}),
+    ("train", {"hidden": 10**20}),
+    ("train", {"hidden": 10**12}),
+    ("generate", {"T": 10**14}),
+    ("synth-data", {"k": 10**11, "n": 10**11}),
+    ("synth-data", {"k": 2**30, "n": 2}),  # k*n*2 = 2**32
+    ("synth-data", {"m": 10**20}),
+    ("synth-data", {"c_audio": 10**20}),
+    ("metrics", {"sigma_smooth": 1e300}),
+    ("metrics", {"sigma_smooth": (2**32 - 1) / 3 + 1}),  # radius ceil(3 sigma) > 2**32 - 1
+], ids=["train-T", "train-batch", "train-hidden", "train-hidden-1e12", "generate-T-1e14",
+        "synth-k-n", "synth-k-n-product", "synth-m", "synth-c_audio", "metrics-sigma_smooth",
+        "metrics-sigma_smooth-radius"])
+def test_count_beyond_u32_is_config_error(pipeline, tmp_path, capsys, command, values):
+    cfg_text = TOY_CFG
+    for key, value in values.items():
+        cfg_text = with_key(cfg_text, key, repr(value))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    data = pipeline.data
+    argv = {
+        "train": ["--data", str(data), "--out", str(out)],
+        "generate": ["--params", str(pipeline.model), "--features", str(data / "seq_0000.mdaf"),
+                     "--seed-motion", str(data / "seq_0000.mdsq"), "--out", str(out)],
+        "synth-data": ["--out-dir", str(out)],
+        "metrics": ["--generated", str(data), "--reference", str(data),
+                    "--features", str(data / "seq_0000.mdaf"), "--out-dir", str(out)],
+    }[command]
+    assert cli.main([command, "--config", str(cfg)] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " must be <= " in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1042,10 +1075,10 @@ class TestRender:
         _, frames = rendered
         write = cli.write_pnm_file
 
-        def failing_write(path, frame, ws=None):
+        def failing_write(path, frame):
             if Path(path).name == cli._frame_name(6):
                 raise OSError(errno.EIO, "injected write failure", str(path))
-            return write(path, frame, ws)
+            return write(path, frame)
 
         monkeypatch.setattr(cli, "write_pnm_file", failing_write)
         outcomes = []
@@ -1071,12 +1104,12 @@ class TestRender:
         _, frames = rendered
         write = cli.write_pnm_file
 
-        def failing_write(path, frame, ws=None):
+        def failing_write(path, frame):
             if int(Path(path).name[len("frame_"):-len(".ppm")]) >= 4:  # the children's
                 dumps = pickle.dumps
                 pickle.dumps = lambda obj: dumps(obj)[:7]  # in the child only
                 raise OSError(errno.EIO, "injected write failure", str(path))
-            return write(path, frame, ws)
+            return write(path, frame)
 
         monkeypatch.setattr(cli, "write_pnm_file", failing_write)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})

@@ -96,6 +96,10 @@ class TestValidation:
             ("lr = 0", "lr"),
             ("embed = 3", "embed"),
             ("seed = -1", "seed"),
+            ("T = 4294967296", "T must be <= 4294967295"),
+            ("hidden = 4294967296", "hidden must be <= 4294967295"),
+            ("k = 1073741824\nn = 2", "k\\*n\\*2 must be <= 4294967295"),
+            ("sigma_smooth = 1431655765.5", "sigma_smooth must be <= 1431655765"),
         ],
     )
     def test_out_of_range(self, text, fragment):
@@ -110,6 +114,11 @@ class TestValidation:
     def test_segment_too_short_for_acceleration_loss(self):
         with pytest.raises(ConfigError, match="m must be >= 3 when lambda_acc > 0"):
             parse_config("m = 2\n")
+
+    def test_counts_up_to_u32_accepted(self):
+        cfg = parse_config("T = 4294967295\nk = 2147483647\nn = 1\n"
+                           "sigma_smooth = 1431655765\nseed = 4294967296\n")
+        assert (cfg.t_steps, cfg.c, cfg.seed) == (2**32 - 1, 2**32 - 2, 2**32)
 
     @pytest.mark.parametrize("m,losses", [(1, "lambda_vel = 0\nlambda_acc = 0"),
                                           (2, "lambda_acc = 0")])

@@ -27,7 +27,6 @@ from mdgesture.tps import (
     normalized_lattice,
     solve_tps,
 )
-from mdgesture.workspace import Workspace
 
 from conftest import random_pairs
 
@@ -432,4 +431,4 @@ class TestUpsample:
         px = (target[..., 0] + 1.0) * 0.5 * (w - 1)
         py = (target[..., 1] + 1.0) * 0.5 * (h - 1)
         up = upsample_flow(flow, *dst_shape)
-        assert np.array_equal(up.map, _bilinear(flow.map, px, py, Workspace()))
+        assert np.array_equal(up.map, _bilinear(flow.map, px, py))
