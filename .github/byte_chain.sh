@@ -3,12 +3,13 @@
 # directory $1, with the mdgesture package that `python` imports (set
 # PYTHONPATH to choose it).
 #
-# toy: synth-data, train, and a 30-frame generate (3 segments, so the head
-# pass runs) with its candidate-score CSV. rendered: the same with k=2, n=3
-# and a 12-frame generate rendered on a 96x80 source, above the 64 px flow
-# lattice, so the flow is upsampled. sample: the benchmark's sample
-# workload shape (c=200, m=80, T=50, p=5, gap=2) after 2 training steps,
-# and a 400-frame generate with its scores: 5 segments, 4 spline-filled
+# toy: synth-data, train with its probe-loss CSV, and a 30-frame generate
+# (3 segments, so the head pass runs) with its candidate-score CSV.
+# rendered: the same with k=2, n=3 and a 12-frame generate rendered on a
+# 96x80 source, above the 64 px flow lattice, so the flow is upsampled.
+# sample: the benchmark's sample workload shape (c=200, m=80, T=50, p=5,
+# gap=2) after 2 training steps with their probe-loss CSV, and a
+# 400-frame generate with its scores: 5 segments, 4 spline-filled
 # junctions. warps: two transforms solved from pair CSVs of 4 and 6 pairs;
 # src.ppm warped through the first with an identity layer, its mask and
 # its upsampled flow; src.ppm warped through both (two TPS groups, one per
@@ -16,8 +17,9 @@
 # warped through both with no identity layer, its mask and its flow at
 # image resolution.
 #
-# Artifacts, relative to $1: model.mdnn gen.mdsq scores.csv data/
-# rmodel.mdnn rgen.mdsq rdata/ frames/ smodel.mdnn sgen.mdsq sgen.csv sdata/
+# Artifacts, relative to $1: model.mdnn loss.csv gen.mdsq scores.csv data/
+# rmodel.mdnn rgen.mdsq rdata/ frames/ smodel.mdnn sloss.csv sgen.mdsq
+# sgen.csv sdata/
 # t.mdtp warped.ppm mask.pgm flow.mdfl t6.mdtp warped2.ppm flow2.mdfl
 # warped_small.ppm mask_small.pgm flow_small.mdfl (and the inputs toy.cfg
 # render.cfg sample.cfg src.ppm src_small.ppm pairs.csv pairs6.csv).
@@ -41,7 +43,8 @@ printf '%s\n' src_x,src_y,dst_x,dst_y 0.1,0.0,0.0,0.0 0.5,0.1,0.5,0.0 \
 printf '%s\n' src_x,src_y,dst_x,dst_y 0.3,0.2,0.2,0.2 0.7,0.1,0.8,0.1 0.6,0.9,0.6,0.8 \
   0.1,0.7,0.2,0.7 0.45,0.5,0.5,0.45 0.4,0.2,0.4,0.3 > "$d/pairs6.csv"
 python -m mdgesture.cli synth-data --config "$d/toy.cfg" --out-dir "$d/data"
-python -m mdgesture.cli train --config "$d/toy.cfg" --data "$d/data" --out "$d/model.mdnn"
+python -m mdgesture.cli train --config "$d/toy.cfg" --data "$d/data" --out "$d/model.mdnn" \
+  --loss-csv "$d/loss.csv"
 python -m mdgesture.cli generate --config "$d/toy.cfg" --params "$d/model.mdnn" \
   --features "$d/data/seq_0001.mdaf" --seed-motion "$d/data/seq_0001.mdsq" \
   --frames 30 --out "$d/gen.mdsq" --scores "$d/scores.csv"
@@ -51,7 +54,8 @@ python -m mdgesture.cli generate --config "$d/render.cfg" --params "$d/rmodel.md
   --features "$d/rdata/seq_0001.mdaf" --seed-motion "$d/rdata/seq_0001.mdsq" \
   --frames 12 --out "$d/rgen.mdsq" --render-src "$d/src.ppm" --render-dir "$d/frames"
 python -m mdgesture.cli synth-data --config "$d/sample.cfg" --out-dir "$d/sdata"
-python -m mdgesture.cli train --config "$d/sample.cfg" --data "$d/sdata" --out "$d/smodel.mdnn"
+python -m mdgesture.cli train --config "$d/sample.cfg" --data "$d/sdata" --out "$d/smodel.mdnn" \
+  --loss-csv "$d/sloss.csv"
 python -m mdgesture.cli generate --config "$d/sample.cfg" --params "$d/smodel.mdnn" \
   --features "$d/sdata/seq_0001.mdaf" --seed-motion "$d/sdata/seq_0001.mdsq" \
   --frames 400 --out "$d/sgen.mdsq" --scores "$d/sgen.csv"

@@ -79,13 +79,29 @@ def _fmt(value) -> str:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Refuse, before any work, an output whose directory is missing, so
-    that a failed run leaves no earlier output behind."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+    """Refuse, before any work, an output whose directory is missing or
+    that is itself a directory, so that a failed run leaves no earlier
+    output behind."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
             raise InvalidArgumentError(
                 f"output directory {Path(path).parent} of {path} does not exist"
             )
+        if Path(path).is_dir():
+            raise InvalidArgumentError(f"output {path} is a directory")
+
+
+def _remove_numbered(out_dir: Path, pattern: str, name, count: int) -> None:
+    """Remove the files in out_dir that match pattern (one `*`) and are
+    named name(i) for some i >= count: an earlier run's numbered outputs
+    past this run's. No other file is touched."""
+    prefix, suffix = pattern.split("*")
+    for path in out_dir.glob(pattern):
+        number = path.name[len(prefix):len(path.name) - len(suffix)]
+        stale = (number.isdigit() and int(number) >= count
+                 and path.name == name(int(number)))
+        if stale and not path.is_dir():
+            path.unlink()
 
 
 # -- tps-solve ----------------------------------------------------------
@@ -140,20 +156,32 @@ def cmd_warp(args) -> int:
 
 # -- synth-data ---------------------------------------------------------
 
+def _sequence_name(i: int, suffix: str) -> str:
+    return f"seq_{i:04d}{suffix}"
+
+
 def cmd_synth_data(args) -> int:
+    """Write cfg.sequences .mdsq/.mdaf pairs, then `index.csv`. A directory
+    that holds an earlier dataset loses its `index.csv` first and, once
+    the last pair is written, the pairs numbered past this one's, so
+    `train` reads only this dataset."""
     cfg = _load_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "index.csv").unlink(missing_ok=True)
     rows = ["sequence,motion,features,frames,channels,beats"]
     for i, (seq, cond) in enumerate(make_dataset(cfg)):
-        motion_name = f"seq_{i:04d}.mdsq"
-        feature_name = f"seq_{i:04d}.mdaf"
+        motion_name = _sequence_name(i, ".mdsq")
+        feature_name = _sequence_name(i, ".mdaf")
         formats.write_sequence(out_dir / motion_name, seq)
         formats.write_audio_features(out_dir / feature_name, cond)
         rows.append(
             f"{i},{motion_name},{feature_name},"
             f"{seq.n_frames},{seq.n_channels},{cond.beats.size}"
         )
+    for suffix in (".mdsq", ".mdaf"):
+        _remove_numbered(out_dir, f"seq_*{suffix}",
+                         functools.partial(_sequence_name, suffix=suffix), cfg.sequences)
     _write_text(out_dir / "index.csv", rows, seed=cfg.seed)
     print(f"wrote {cfg.sequences} sequences to {out_dir}")
     return 0
@@ -178,15 +206,15 @@ def _load_dataset_dir(path) -> list:
 def cmd_train(args) -> int:
     _check_out_dirs(args.out, args.loss_csv)
     cfg = _load_config(args)
-    dataset = training_windows(_load_dataset_dir(args.data), cfg)
-    model, history = train_denoiser(dataset, cfg)
+    frames, audio = training_windows(_load_dataset_dir(args.data), cfg)
+    model, history = train_denoiser(frames, audio, cfg)
     formats.write_denoiser(args.out, model)
     if args.loss_csv:
         rows = ["step,probe_loss"]
         rows += [f"{step},{_fmt(loss)}" for step, loss in history]
         _write_text(args.loss_csv, rows, seed=cfg.seed)
     first, last = history[0][1], history[-1][1]
-    print(f"trained on {len(dataset)} windows")
+    print(f"trained on {len(frames)} windows")
     print(f"probe_loss_first = {_fmt(first)}")
     print(f"probe_loss_last = {_fmt(last)}")
     print(f"wrote {args.out}")
@@ -285,12 +313,7 @@ def _render_frames(frame_transforms, cfg, src_img, out_dir, workers=None):
         errors = [e for e in (join(*f, "render worker") for f in forked) if e is not None]
     if errors:
         raise errors[0]
-    for path in out_dir.glob("frame_*.ppm"):
-        number = path.name[len("frame_"):-len(".ppm")]
-        stale = (number.isdigit() and int(number) >= count
-                 and path.name == _frame_name(int(number)))
-        if stale and not path.is_dir():
-            path.unlink()
+    _remove_numbered(out_dir, "frame_*.ppm", _frame_name, count)
     rows = ["frame,file"] + [f"{i},{_frame_name(i)}" for i in range(count)]
     _write_text(out_dir / "frames.csv", rows, seed=cfg.seed)
 

@@ -33,12 +33,15 @@ output product, the DDIM update in two output-sized buffers. No input
 array is written. A model loaded from a file is built with seed=None,
 so loading draws no initial weights only to overwrite them.
 
-Training works on stacks of windows: a step draws each window's step,
-noise and mask flag in turn, and hands a stack of them, (B, M, C), to
-one q_sample and one loss_gradients call. Every product in the stacked
-gradient is one np.matmul per window, the BLAS call a lone window
-makes, and the windows' gradients are added onto the step's sum in
-window order, so the model is the one-call-per-window loop's bit for
+Training works on two arrays, the windows' frames (N, M, C) and audio
+(N, M, C_a), stacked and checked once by training_windows. A step draws
+each window's step, noise and mask flag in turn, and hands a stack of B
+windows to one q_sample and one loss_gradients call: a window's seed
+motion is its first frame, a masked window's audio is zeroed in the
+stack's copy, and no per-window object is built. Every product in the
+stacked gradient is one np.matmul per window, the BLAS call a lone
+window makes, and the windows' gradients are added onto the step's sum
+in window order, so the model is the one-call-per-window loop's bit for
 bit. guided_x0 and p_step are called once per reverse step, q_sample
 and loss_gradients once per stack: they are the layers the benchmark's
 tracer times.
@@ -103,10 +106,12 @@ class DiffusionSchedule:
         return self.beta.shape[0]
 
     @cached_property
-    def coefficients(self) -> list:
-        """Step t's (sqrt(abar_t), sqrt(1 - abar_t)) at index t - 1, built
-        on first use."""
-        return [(math.sqrt(ab), math.sqrt(1.0 - ab)) for ab in self.alpha_bar.tolist()]
+    def coefficients(self) -> np.ndarray:
+        """(T, 2), read-only: row t - 1 holds step t's (sqrt(abar_t),
+        sqrt(1 - abar_t)). Built on first use."""
+        out = np.sqrt(np.stack([self.alpha_bar, 1.0 - self.alpha_bar], axis=1))
+        out.flags.writeable = False
+        return out
 
 
 def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
@@ -134,29 +139,20 @@ def make_schedule(t_steps: int, kind: str = "cosine") -> DiffusionSchedule:
     return DiffusionSchedule(np.clip(beta, None, 0.999))
 
 
-def _check_step(t: int, sched: DiffusionSchedule) -> int:
-    t = int(t)
-    if not 1 <= t <= sched.n_steps:
-        raise InvalidArgumentError(f"step {t} outside 1..{sched.n_steps}")
-    return t
-
-
 def q_sample(x0, t, noise, sched: DiffusionSchedule) -> np.ndarray:
     """Forward-noise x0 to level t: sqrt(abar) x0 + sqrt(1-abar) noise.
 
-    x0 is one window at step t, or a (B, M, C) stack of windows with one
-    step per window in t."""
+    x0 is one (M, C) window at step t, or a (B, M, C) stack of windows
+    with one step per window in t."""
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    if x0.shape != noise.shape:
-        raise InvalidArgumentError("x0 and noise must share a shape")
-    if np.ndim(t) == 0:
-        fwd_x0, fwd_noise = sched.coefficients[_check_step(t, sched) - 1]
-    else:
-        if x0.ndim != 3 or len(t) != x0.shape[0]:
-            raise InvalidArgumentError("a stack's x0 must be (B, M, C) with B steps")
-        coef = np.array([sched.coefficients[_check_step(s, sched) - 1] for s in t])
-        fwd_x0, fwd_noise = coef.T[:, :, None, None]
+    t = np.asarray(t)
+    if x0.shape != noise.shape or t.shape != x0.shape[:-2]:
+        raise InvalidArgumentError(
+            "x0 and noise must share a shape: (M, C) at one step or (B, M, C) at B steps")
+    if t.min() < 1 or t.max() > sched.n_steps:
+        raise InvalidArgumentError(f"steps must lie in 1..{sched.n_steps}")
+    fwd_x0, fwd_noise = sched.coefficients.T[:, t - 1, None, None]
     return fwd_x0 * x0 + fwd_noise * noise
 
 
@@ -173,8 +169,9 @@ def p_step(x_t, t: int, t_prev: int, x0_hat, sched: DiffusionSchedule) -> np.nda
     eps = (x_t - sqrt(abar_t) x0_hat) / sqrt(1 - abar_t), is carried to
     sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev) eps. At t_prev = 0 the
     step returns x0_hat."""
-    t = _check_step(t, sched)
-    t_prev = int(t_prev)
+    t, t_prev = int(t), int(t_prev)
+    if not 1 <= t <= sched.n_steps:
+        raise InvalidArgumentError(f"step {t} outside 1..{sched.n_steps}")
     if not 0 <= t_prev < t:
         raise InvalidArgumentError(f"previous step {t_prev} outside 0..{t - 1}")
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -183,8 +180,8 @@ def p_step(x_t, t: int, t_prev: int, x0_hat, sched: DiffusionSchedule) -> np.nda
         raise InvalidArgumentError("x_t and x0_hat must share a shape")
     if t_prev == 0:
         return x0_hat
-    fwd_x0, fwd_noise = sched.coefficients[t - 1]
-    prev_x0, prev_noise = sched.coefficients[t_prev - 1]
+    fwd_x0, fwd_noise = sched.coefficients[t - 1].tolist()
+    prev_x0, prev_noise = sched.coefficients[t_prev - 1].tolist()
     # in two fresh buffers, the formula's operations in its order (k * a
     # and a *= k round alike)
     eps = fwd_x0 * x0_hat
@@ -450,13 +447,15 @@ class MlpDenoiser(Denoiser):
             raise InvalidArgumentError("audio must be (M, C_a)")
         return self.bind(cond).guided(x_t, t, cond, gamma)
 
-    def loss_gradients(self, x0, x_t, t, cond, lambda_vel: float = 1.0,
+    def loss_gradients(self, x0, x_t, t, audio, seed, lambda_vel: float = 1.0,
                        lambda_acc: float = 1.0, acc=None) -> dict:
-        """Analytic gradients of total_loss(x0, predict(x_t, t, cond)), keyed
-        by PARAM_NAMES; the loss itself is not computed.
+        """Analytic gradients of total_loss(x0, predict(x_t, t, cond)) over
+        a stack of B windows, keyed by PARAM_NAMES; the loss itself is not
+        computed.
 
-        x0 and x_t are one window's (M, C) frames at step t on cond, or a
-        stack of B windows: (B, M, C) frames, B steps and B conditions.
+        x0 and x_t are (B, M, C) float64 frames, t holds B steps, audio is
+        (B, M, C_a) and seed (B, C): window b is conditioned on audio[b]
+        and seed[b]. Nothing is checked; train_denoiser shapes the stack.
         The windows' gradients are added in window order onto acc, arrays
         keyed by PARAM_NAMES (zeros when None), which are returned:
         acc + g_1 + ... + g_B, summed as a loop of one call per window
@@ -464,21 +463,8 @@ class MlpDenoiser(Denoiser):
         call a single window makes, so the sums are that loop's bit for
         bit. The forward pass is the bound view's hidden layer, as in
         sampling."""
-        x0 = np.asarray(x0, dtype=np.float64)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.ndim == 2:
-            x0, x_t, t, cond = x0[None], x_t[None], [t], [cond]
-        if x_t.ndim != 3 or x_t.shape[2] != self.n_channels or x0.shape != x_t.shape:
-            raise InvalidArgumentError("x0 and x_t must be matching (M, C) or (B, M, C)")
         n, m, c = x_t.shape
-        if len(t) != n or len(cond) != n:
-            raise InvalidArgumentError("a stack needs one step and one condition per window")
-        if any(k.audio.shape != (m, self.n_audio) or k.seed_motion.size != c for k in cond):
-            raise InvalidArgumentError("conditions must match the model and x_t's M rows")
-        if (lambda_vel and m < 2) or (lambda_acc and m < 3):
-            raise InvalidArgumentError("vel loss needs M >= 2, acc loss M >= 3")
-        audio = np.array([k.audio for k in cond])
-        seed = np.array([k.seed_motion for k in cond])[:, None]
+        seed = seed[:, None]
         emb = np.array([time_embedding(s, self.embed) for s in t])[:, None]
         h = _BoundMlp(self, audio, seed).hidden(x_t, emb, 1.0)
         # in-place scaling: k * a and a * k are the same float
@@ -599,76 +585,75 @@ def windows_per_stack(model: MlpDenoiser) -> int:
     return max(1, STACK_FLOATS // model._flat.size)
 
 
-def training_windows(pairs, cfg: PipelineConfig) -> list:
-    """Cut (motion, audio features) pairs into training items.
+def training_windows(pairs, cfg: PipelineConfig) -> tuple:
+    """Cut (motion, audio features) pairs into training windows.
 
     Windows of cfg.m frames start at offsets 0, cfg.stride, 2*cfg.stride,
-    ... of each pair; each is (MotionSequence view, Condition of the same
-    audio rows seeded by the window's first frame). A pair whose feature
-    rows or frame rate differ from its motion's is an error, and so is
-    a dataset with no window at all.
+    ... of each pair. Returns the (N, m, C) stack of their frames and the
+    (N, m, C_a) stack of their audio rows. A pair whose feature rows or
+    frame rate differ from its motion's is an error, and so are windows
+    of more than one motion width or audio width and a dataset with no
+    window at all.
     """
-    m, items = cfg.m, []
+    m, frames, audio = cfg.m, [], []
     for seq, feats in pairs:
         if feats.n_frames != seq.n_frames or feats.fps != seq.fps:
             raise InvalidArgumentError(
                 f"features ({feats.n_frames} rows at {feats.fps} fps) do not "
                 f"match motion ({seq.n_frames} frames at {seq.fps} fps)"
             )
-        frames, audio = seq.frames, feats.features
         for off in range(0, seq.n_frames - m + 1, cfg.stride):
-            items.append((MotionSequence(frames[off : off + m], seq.fps),
-                          Condition(audio[off : off + m], frames[off])))
-    if not items:
+            frames.append(seq.frames[off : off + m])
+            audio.append(feats.features[off : off + m])
+    if not frames:
         raise InvalidArgumentError(
             f"no training windows: sequences shorter than m={m}"
         )
-    return items
+    for what, stack in (("motion", frames), ("audio", audio)):
+        widths = sorted({w.shape[1] for w in stack})
+        if len(widths) > 1:
+            raise InvalidArgumentError(
+                f"dataset shapes are inconsistent: {what} widths {widths}")
+    return np.stack(frames), np.stack(audio)
 
 
-def train_denoiser(dataset, cfg: PipelineConfig):
+def train_denoiser(frames, audio, cfg: PipelineConfig):
     """Minibatch SGD with momentum on the total loss.
 
-    dataset: list of (MotionSequence, Condition) pairs. Each draw picks a
-    sequence, a uniform step t, fresh noise, and masks the audio with
-    probability cfg.mask_prob. Returns (model, history) where history is
-    [(step, probe loss)] on a fixed probe batch, row 0 before training,
-    then every PROBE_EVERY steps and after the last. A diverging run
-    raises NumericsError at the first step whose arithmetic overflows or
-    turns non-finite, or that leaves a parameter outside the float32
-    range of the model file, instead of training on.
+    frames (N, M, C) and audio (N, M, C_a) are training_windows' stacks;
+    window i is conditioned on audio[i] and seeded by frames[i, 0]. Each
+    draw picks a window, a uniform step t, fresh noise, and zeroes the
+    audio with probability cfg.mask_prob. Returns (model, history) where
+    history is [(step, probe loss)] on a fixed probe batch, row 0 before
+    training, then every PROBE_EVERY steps and after the last. A
+    diverging run raises NumericsError at the first step whose arithmetic
+    overflows or turns non-finite, or that leaves a parameter outside the
+    float32 range of the model file, instead of training on.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise InvalidArgumentError("training dataset is empty")
-    seqs = [np.asarray(s.frames, dtype=np.float64) for s, _ in dataset]
-    conds = [c for _, c in dataset]
-    m, c = seqs[0].shape
-    c_a = conds[0].audio.shape[1]
-    for s_arr, cond in zip(seqs, conds):
-        if s_arr.shape != (m, c) or cond.audio.shape[1] != c_a:
-            raise InvalidArgumentError("dataset shapes are inconsistent")
-        if cond.audio.shape[0] != m:
-            raise InvalidArgumentError("audio rows must align with frames")
-    frames = np.stack(seqs)
+    frames = np.asarray(frames, dtype=np.float64)
+    audio = np.asarray(audio, dtype=np.float64)
+    if (frames.ndim != 3 or audio.ndim != 3 or frames.shape[:2] != audio.shape[:2]
+            or 0 in frames.shape or 0 in audio.shape):
+        raise InvalidArgumentError(
+            "training needs frames (N, M, C) and audio (N, M, C_a), N, M, C, C_a >= 1")
+    n, m, c = frames.shape
+    if (cfg.lambda_vel and m < 2) or (cfg.lambda_acc and m < 3):
+        raise InvalidArgumentError("vel loss needs M >= 2, acc loss M >= 3")
 
     sched = make_schedule(cfg.t_steps, cfg.schedule)
-    model = MlpDenoiser(c, c_a, cfg.hidden, cfg.embed, seed=cfg.seed)
+    model = MlpDenoiser(c, audio.shape[2], cfg.hidden, cfg.embed, seed=cfg.seed)
     g = generator(cfg.seed, BATCH_TAG)
     probe_rng = generator(cfg.seed, PROBE_TAG)
 
     probe = []
-    for i in range(min(8, len(dataset))):
+    for i in range(min(8, n)):
         t = int(probe_rng.integers(1, sched.n_steps + 1))
-        probe.append((i, t, probe_rng.standard_normal(seqs[i].shape)))
+        x_t = q_sample(frames[i], t, probe_rng.standard_normal((m, c)), sched)
+        probe.append((frames[i], x_t, t, Condition(audio[i], frames[i, 0])))
 
     def probe_loss() -> float:
-        tot = 0.0
-        for i, t, noise in probe:
-            x_t = q_sample(seqs[i], t, noise, sched)
-            y = model.predict(x_t, t, conds[i])
-            tot += total_loss(seqs[i], y, cfg.lambda_vel, cfg.lambda_acc)
-        return tot / len(probe)
+        return sum(total_loss(x0, model.predict(x_t, t, cond), cfg.lambda_vel, cfg.lambda_acc)
+                   for x0, x_t, t, cond in probe) / len(probe)
 
     history = [(0, probe_loss())]
     vel = np.zeros_like(model._flat)
@@ -680,19 +665,19 @@ def train_denoiser(dataset, cfg: PipelineConfig):
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, cfg.steps + 1):
-                idx = g.integers(0, len(dataset), size=cfg.batch).tolist()
+                idx = g.integers(0, n, size=cfg.batch).tolist()
                 acc.fill(0.0)
                 for lo in range(0, cfg.batch, stack):
                     win = idx[lo:lo + stack]
-                    ts, cs = [], []
-                    for b, i in enumerate(win):
+                    ts, au = [], audio[win]
+                    for b in range(len(win)):
                         ts.append(int(g.integers(1, sched.n_steps + 1)))
                         g.standard_normal(out=noise[b])
-                        cs.append(conds[i].masked if g.random() < cfg.mask_prob
-                                  else conds[i])
+                        if g.random() < cfg.mask_prob:
+                            au[b] = 0.0
                     x0 = frames[win]
                     x_t = q_sample(x0, ts, noise[:len(win)], sched)
-                    model.loss_gradients(x0, x_t, ts, cs, cfg.lambda_vel,
+                    model.loss_gradients(x0, x_t, ts, au, x0[:, 0], cfg.lambda_vel,
                                          cfg.lambda_acc, acc=acc_views)
                 vel = momentum * vel - (cfg.lr / cfg.batch) * acc
                 model._flat += vel

@@ -276,7 +276,9 @@ def test_4_gradient_check(capsys):
     t = 4
     x_t = q_sample(x0, t, g.standard_normal((9, 5)), sched)
 
-    grads = model.loss_gradients(x0, x_t, t, cond, 1.0, 1.0)
+    # a stack of one window
+    grads = model.loss_gradients(x0[None], x_t[None], [t], cond.audio[None],
+                                 cond.seed_motion[None], 1.0, 1.0)
     flat_grad = np.concatenate([grads[n].ravel() for n in model.PARAM_NAMES])
     theta = model.get_flat()
 

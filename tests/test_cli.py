@@ -318,6 +318,25 @@ class TestSynthData:
         assert "lambda_acc" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_smaller_dataset_replaces_a_larger_one(self, pipeline, tmp_path, capsys):
+        """Writing 4 sequences over 6 leaves only the 4, so train reads no
+        sequence of the earlier dataset; other files stay."""
+        six, data = tmp_path / "six.cfg", tmp_path / "data"
+        six.write_text(with_key(TOY_CFG, "sequences", "6"))
+        assert cli.main(["synth-data", "--config", str(six), "--out-dir", str(data)]) == 0
+        (data / "notes.txt").write_text("kept\n")
+        assert cli.main(["synth-data", "--config", str(pipeline.cfg),
+                         "--out-dir", str(data)]) == 0
+        names = sorted(p.name for p in pipeline.data.iterdir())
+        assert sorted(p.name for p in data.iterdir()) == sorted(names + ["notes.txt"])
+        for name in names:
+            assert (data / name).read_bytes() == (pipeline.data / name).read_bytes()
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(pipeline.cfg), "--data", str(data),
+                         "--out", str(tmp_path / "m.mdnn")]) == 0
+        # 4 sequences of m = 12 frames, one window each
+        assert "trained on 4 windows" in capsys.readouterr().out
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -372,6 +391,23 @@ class TestTrain:
             ["train", "--config", str(pipeline.cfg), "--data", str(tmp_path),
              "--out", str(out)]
         ) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("motion, audio", [(6, 2), (8, 3)],
+                             ids=["motion_width", "audio_width"])
+    def test_mixed_widths_write_no_model(self, pipeline, tmp_path, capsys, motion, audio):
+        """A data directory whose pairs differ in motion or audio width."""
+        for name in ("seq_0000.mdsq", "seq_0000.mdaf"):
+            shutil.copy(pipeline.data / name, tmp_path / name)
+        g = np.random.default_rng(3)
+        seq = MotionSequence(g.normal(size=(12, motion)))
+        formats.write_sequence(tmp_path / "seq_0001.mdsq", seq)
+        formats.write_audio_features(tmp_path / "seq_0001.mdaf",
+                                     AudioCondition(g.normal(size=(12, audio)), seq.fps))
+        out = tmp_path / "m.mdnn"
+        assert cli.main(["train", "--config", str(pipeline.cfg), "--data", str(tmp_path),
+                         "--out", str(out)]) == 2
+        assert "dataset shapes are inconsistent" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sequences_shorter_than_window(self, pipeline, tmp_path):
@@ -950,6 +986,26 @@ def test_missing_output_directory_writes_nothing(writer_inputs, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(missing) in err[0] and ".tmp" not in err[0]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("warp", "--flow-out"), ("beats", "--features"), ("train", "--loss-csv"),
+    ("generate", "--scores"),
+])
+def test_output_that_is_a_directory_writes_nothing(writer_inputs, tmp_path, capsys,
+                                                   command, flag):
+    """An output path naming a directory once failed with `Is a directory`
+    only after `--out` was written."""
+    args, outputs = WRITERS[command]
+    argv = [command, *args(writer_inputs)]
+    for f, name in outputs.items():
+        argv += [f, str(tmp_path / name)]
+    taken = tmp_path / outputs[flag]
+    taken.mkdir()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: output {taken} is a directory"]
+    assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
 
 
 @pytest.fixture(scope="module")

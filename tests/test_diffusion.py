@@ -50,6 +50,23 @@ def tiny_condition(m, c, c_a=3, seed=5):
     return Condition(g.normal(size=(m, c_a)), g.normal(size=c))
 
 
+def window_gradients(model, x0, x_t, t, cond, lambda_vel=1.0, lambda_acc=1.0):
+    """loss_gradients on a stack of one window."""
+    return model.loss_gradients(x0[None], x_t[None], [t], cond.audio[None],
+                                cond.seed_motion[None], lambda_vel, lambda_acc)
+
+
+def random_windows(m, c):
+    """Three windows of normal frames and 2-channel audio, as the (frames,
+    audio) stacks train_denoiser takes. Each window also draws a C-vector,
+    unused, so that the frames and audio keep the values these cases
+    were written on."""
+    g = generator(8)
+    draws = [(g.normal(size=(m, c)), g.normal(size=(m, 2)), g.normal(size=c))
+             for _ in range(3)]
+    return np.stack([f for f, _, _ in draws]), np.stack([a for _, a, _ in draws])
+
+
 class TestSchedule:
     def test_linear_t1(self):
         sched = make_schedule(1, "linear")
@@ -371,7 +388,7 @@ class TestMlpDenoiser:
         x0 = rng.normal(size=(6, 4))
         x_t = rng.normal(size=(6, 4))
         cond = tiny_condition(6, 4)
-        grads = model.loss_gradients(x0, x_t, 5, cond)
+        grads = window_gradients(model, x0, x_t, 5, cond)
         flat_g = np.concatenate([grads[n].ravel() for n in model.PARAM_NAMES])
         theta = model.get_flat()
         worst = 0.0
@@ -399,7 +416,7 @@ class TestMlpDenoiser:
         x0 = rng.normal(size=(6, c))
         x_t = rng.normal(size=(6, c))
         cond = tiny_condition(6, c, c_a)
-        grads = model.loss_gradients(x0, x_t, 5, cond)
+        grads = window_gradients(model, x0, x_t, 5, cond)
         edges = np.cumsum([0, c, c_a, c, embed])
         coords = [("w1", (r, col)) for lo, hi in zip(edges[:-1], edges[1:])
                   for r, col in ((0, lo), (hidden - 1, hi - 1))]
@@ -425,8 +442,8 @@ class TestMlpDenoiser:
         x_t = rng.normal(size=(5, 4))
         cond = tiny_condition(5, 4)
         audio_cols = slice(4, 7)  # [x_t | audio | seed | embedding]
-        g_masked = model.loss_gradients(x0, x_t, 2, cond.masked)
-        g_plain = model.loss_gradients(x0, x_t, 2, cond)
+        g_masked = window_gradients(model, x0, x_t, 2, cond.masked)
+        g_plain = window_gradients(model, x0, x_t, 2, cond)
         assert np.all(g_masked["w1"][:, audio_cols] == 0.0)
         assert np.linalg.norm(g_plain["w1"][:, audio_cols]) > 0.0
 
@@ -435,10 +452,10 @@ class TestMlpDenoiser:
         ids=["acc_needs_3_frames", "vel_needs_2_frames"],
     )
     def test_short_window_refused(self, m, lambda_vel, lambda_acc):
-        model = MlpDenoiser(4, 3, hidden=6, embed=4)
-        x = np.zeros((m, 4))
-        with pytest.raises(InvalidArgumentError):
-            model.loss_gradients(x, x, 1, tiny_condition(m, 4), lambda_vel, lambda_acc)
+        # the config's own m passes its check; the windows are shorter
+        cfg = PipelineConfig(lambda_vel=lambda_vel, lambda_acc=lambda_acc)
+        with pytest.raises(InvalidArgumentError, match="M >= "):
+            train_denoiser(np.zeros((1, m, 4)), np.zeros((1, m, 3)), cfg)
 
     def test_predict_shape_validation(self):
         model = MlpDenoiser(4, 3, hidden=8, embed=4)
@@ -458,7 +475,7 @@ class TestMlpDenoiser:
 class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            train_denoiser([], PipelineConfig())
+            train_denoiser(np.zeros((0, 10, 4)), np.zeros((0, 10, 2)), PipelineConfig())
 
     def test_memorizes_constant_sequence(self):
         m, c = 16, 4
@@ -468,7 +485,7 @@ class TestTraining:
             k=1, n=2, m=m, t_steps=10, steps=300, batch=4, lr=0.05,
             hidden=32, embed=4, sequences=1, gamma=1.0, seed=9,
         )
-        model, history = train_denoiser([(MotionSequence(frames), cond)], cfg)
+        model, history = train_denoiser(frames[None], cond.audio[None], cfg)
         assert history[-1][1] < 0.5 * history[0][1]
         from mdgesture.diffusion import make_schedule as _ms
 
@@ -550,25 +567,24 @@ def reference_loss_gradients(model, x0, x_t, t, cond, lambda_vel, lambda_acc):
     return {"w2": g.T @ h, "b2": g.sum(axis=0), "w1": dw1, "b1": db1}
 
 
-def reference_train(dataset, cfg):
+def reference_train(frames, audio, cfg):
     """train_denoiser's parameter updates, without the probe rows."""
-    seqs = [s.frames for s, _ in dataset]
-    conds = [c for _, c in dataset]
     sched = make_schedule(cfg.t_steps, cfg.schedule)
-    model = MlpDenoiser(seqs[0].shape[1], conds[0].audio.shape[1], cfg.hidden,
+    model = MlpDenoiser(frames.shape[2], audio.shape[2], cfg.hidden,
                         cfg.embed, seed=cfg.seed)
     g = generator(cfg.seed, BATCH_TAG)
     vel = np.zeros_like(model.get_flat())
     for _ in range(cfg.steps):
-        idx = g.integers(0, len(dataset), size=cfg.batch)
+        idx = g.integers(0, len(frames), size=cfg.batch)
         acc = {name: np.zeros_like(p) for name, p in model.parameters().items()}
         for i in idx:
             t = int(g.integers(1, sched.n_steps + 1))
-            noise = g.standard_normal(seqs[i].shape)
+            noise = g.standard_normal(frames[i].shape)
             ab = sched.alpha_bar[t - 1]
-            x_t = math.sqrt(ab) * seqs[i] + math.sqrt(1.0 - ab) * noise
-            cond = conds[i].masked if g.random() < cfg.mask_prob else conds[i]
-            grads = reference_loss_gradients(model, seqs[i], x_t, t, cond,
+            x_t = math.sqrt(ab) * frames[i] + math.sqrt(1.0 - ab) * noise
+            cond = Condition(audio[i], frames[i, 0])
+            cond = cond.masked if g.random() < cfg.mask_prob else cond
+            grads = reference_loss_gradients(model, frames[i], x_t, t, cond,
                                              cfg.lambda_vel, cfg.lambda_acc)
             for name in acc:
                 acc[name] += grads[name]
@@ -631,10 +647,7 @@ class TestSameBitsAsPerStepCode:
         """Stacked training steps equal one reference gradient per window,
         summed in window order, whatever the stack size."""
         m, c = shape
-        g = generator(8)
-        dataset = [(MotionSequence(g.normal(size=(m, c))),
-                    Condition(g.normal(size=(m, 2)), g.normal(size=c)))
-                   for _ in range(3)]
+        frames, audio = random_windows(m, c)
         cfg = PipelineConfig(**{"k": 1, "n": 2, "m": 10, "t_steps": 7, "steps": 12,
                                 "batch": 3, "hidden": 8, "embed": 4, "mask_prob": 0.5,
                                 "seed": 5, **overrides})
@@ -644,18 +657,15 @@ class TestSameBitsAsPerStepCode:
             assert diffusion.windows_per_stack(probe) == stack
         elif c == 400:
             assert diffusion.windows_per_stack(probe) == 1
-        model, _ = train_denoiser(dataset, cfg)
-        want = reference_train(dataset, cfg)
+        model, _ = train_denoiser(frames, audio, cfg)
+        want = reference_train(frames, audio, cfg)
         for name in MlpDenoiser.PARAM_NAMES:
             assert np.array_equal(getattr(model, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("batch, stack", [(5, 2), (4, 4), (3, 1), (16, 6)])
     def test_a_step_makes_one_gradient_call_per_stack(self, monkeypatch, batch, stack):
         m, c = 10, 4
-        g = generator(8)
-        dataset = [(MotionSequence(g.normal(size=(m, c))),
-                    Condition(g.normal(size=(m, 2)), g.normal(size=c)))
-                   for _ in range(3)]
+        frames, audio = random_windows(m, c)
         cfg = PipelineConfig(k=1, n=2, m=m, t_steps=7, steps=1, batch=batch, hidden=8,
                              embed=4, seed=5)
         per_window = MlpDenoiser(c, 2, 8, 4).get_flat().size
@@ -668,7 +678,7 @@ class TestSameBitsAsPerStepCode:
             return real(self, x0, x_t, *args, **kwargs)
 
         monkeypatch.setattr(MlpDenoiser, "loss_gradients", counted)
-        train_denoiser(dataset, cfg)
+        train_denoiser(frames, audio, cfg)
         assert len(sizes) == math.ceil(batch / stack)
         assert sum(sizes) == batch and max(sizes) == min(stack, batch)
 
@@ -691,7 +701,8 @@ class TestSameBitsAsPerStepCode:
                                                1.0, 1.0)
                 for k in want:
                     want[k] += ref[k]
-            got = model.loss_gradients(x0, x_t, steps, conds, acc=acc)
+            got = model.loss_gradients(x0, x_t, steps, np.array([k.audio for k in conds]),
+                                       np.array([k.seed_motion for k in conds]), acc=acc)
             assert acc is None or got is acc  # summed in place
             for k in model.PARAM_NAMES:
                 assert np.array_equal(got[k], want[k]), k

@@ -61,40 +61,49 @@ def windows(seq, m, stride):
 class TestWindows:
     def test_exact_fit(self, rng):
         seq = MotionSequence(rng.normal(size=(80, 4)))
-        wins = windows(seq, 80, 10)
-        assert len(wins) == 1
-        win, cond = wins[0]
-        assert np.array_equal(win.frames, seq.frames)
-        assert np.array_equal(cond.seed_motion, seq.frames[0])
+        frames, audio = windows(seq, 80, 10)
+        assert frames.shape == (1, 80, 4) and audio.shape == (1, 80, 2)
+        assert np.array_equal(frames[0], seq.frames)
+        assert np.array_equal(frames[0, 0], seq.frames[0])  # the seed motion
 
     def test_strided(self, rng):
         seq = MotionSequence(rng.normal(size=(100, 2)))
-        wins = windows(seq, 80, 10)
-        assert len(wins) == 3
-        for i, (w, cond) in enumerate(wins):
-            assert w.n_frames == 80
-            assert np.array_equal(w.frames, seq.frames[10 * i : 10 * i + 80])
-            assert cond.audio[0, 0] == 10 * i  # audio cut at the same offset
-            assert np.array_equal(cond.seed_motion, seq.frames[10 * i])
+        frames, audio = windows(seq, 80, 10)
+        assert frames.shape == (3, 80, 2) and audio.shape == (3, 80, 2)
+        for i in range(3):
+            assert np.array_equal(frames[i], seq.frames[10 * i : 10 * i + 80])
+            assert audio[i, 0, 0] == 10 * i  # audio cut at the same offset
+            assert np.array_equal(frames[i, 0], seq.frames[10 * i])
 
     def test_window_longer_than_sequence(self, rng):
         seq = MotionSequence(rng.normal(size=(79, 2)))
         with pytest.raises(InvalidArgumentError, match="no training windows"):
             windows(seq, 80, 10)
 
-    def test_fps_carried(self, rng):
+    def test_windows_at_another_fps(self, rng):
         seq = MotionSequence(rng.normal(size=(10, 2)), fps=Fraction(30))
-        wins = windows(seq, 5, 5)
-        assert len(wins) == 2
-        for off, (w, _) in zip([0, 5], wins):
-            assert np.array_equal(w.frames, seq.frames[off : off + 5])
-            assert w.fps == Fraction(30)
+        frames, _ = windows(seq, 5, 5)
+        assert len(frames) == 2
+        for off, w in zip([0, 5], frames):
+            assert np.array_equal(w, seq.frames[off : off + 5])
 
     @pytest.mark.parametrize("rows,fps", [(9, 30), (10, 25)])
     def test_features_must_match_motion(self, rng, rows, fps):
         seq = MotionSequence(rng.normal(size=(10, 2)), fps=Fraction(30))
         pairs = [(seq, AudioCondition(np.zeros((rows, 2)), fps))]
         with pytest.raises(InvalidArgumentError, match="do not match motion"):
+            training_windows(pairs, PipelineConfig(m=5, stride=5))
+
+    @pytest.mark.parametrize("what, widths", [("motion", (2, 3)), ("audio", (4, 2))])
+    def test_one_width_per_dataset(self, rng, what, widths):
+        """Two pairs whose motion or audio widths differ cannot stack."""
+        pairs = []
+        for w in widths:
+            c, c_a = (w, 2) if what == "motion" else (2, w)
+            seq = MotionSequence(rng.normal(size=(10, c)))
+            pairs.append((seq, AudioCondition(rng.normal(size=(10, c_a)), seq.fps)))
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"inconsistent: {what} widths \[2, [34]\]"):
             training_windows(pairs, PipelineConfig(m=5, stride=5))
 
 

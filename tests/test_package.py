@@ -46,7 +46,7 @@ def library_snippets():
 
 
 def test_readme_library_snippets_run(tmp_path, monkeypatch):
-    tps_snippet, generate_snippet = library_snippets()
+    tps_snippet, generate_snippet, train_snippet = library_snippets()
     exec(tps_snippet, {})
     # the files the second snippet reads, on the default config's shapes
     cfg, g = PipelineConfig(), generator(0)
@@ -62,3 +62,7 @@ def test_readme_library_snippets_run(tmp_path, monkeypatch):
     exec(generate_snippet, scope)
     assert scope["motion"].frames.shape == (400, cfg.c)
     assert np.all(np.isfinite(scope["motion"].frames))
+    scope = {}
+    exec(train_snippet, scope)
+    assert scope["frames"].shape == (4, 12, 8) and scope["audio"].shape == (4, 12, 2)
+    assert scope["history"][0][0] == 0 and scope["history"][-1][0] == 20

@@ -65,7 +65,7 @@ def test_no_two_package_streams_share_a_key(monkeypatch):
         monkeypatch.setattr(module, "generator", record)
 
     data = synth.make_dataset(TOY)
-    model, _ = diffusion.train_denoiser(diffusion.training_windows(data, TOY), TOY)
+    model, _ = diffusion.train_denoiser(*diffusion.training_windows(data, TOY), TOY)
     cond = synth_condition([0.2], 3 * TOY.m, 25, TOY.c_audio, seed=3)
     generate_long(model, cond, data[0][0].frames[0], 3 * TOY.m, TOY)
 
